@@ -4,14 +4,14 @@ entry()      — flagship pipeline on /root/testdata/sf0.001: wrap `documents`
                into an HTML `pages` corpus, build the inverted index with the
                full Ray pipeline (extract -> tokenize -> segments -> term
                shuffle -> compressed block index), then score a topic set with
-               block-max WAND BM25 and return the TREC run table.
+               BM25 and return the TREC run table.
 queries()    — one entry per implemented operator/pipeline (SURVEY.md §2 plus
                the training-data operators); each takes sf_dir.
 oracle_sql() — DuckDB-equivalent SQL for every SQL-expressible query.
                Float outputs are returned as BIGINT micros
                (floor(x*1e6 + 0.5)) on BOTH sides so value-hashes cannot
                diverge on float formatting; genuinely non-SQL ops (Porter
-               stemming, WAND, fingerprints, media decode) are rows-only —
+               stemming, MaxScore, fingerprints, media decode) are rows-only —
                self-checking against the in-repo oracle where possible.
                SimHash, MinHash+LSH (md5be hash kind), and k-means
                assignment ARE reproduced in DuckDB and value-hash checked.
@@ -1302,19 +1302,19 @@ def q_term_length_hist(sf_dir: str) -> pa.Table:
 
 
 def q_bm25_maxscore_top10(sf_dir: str) -> pa.Table:
-    """MaxScore DAAT (engine/scoring.maxscore_topk) — the second
-    dynamic-pruning algorithm beside WAND (essential/non-essential
-    term-upper-bound partitioning, Turtle & Flood 1995; block skipping
-    via the shared cursors, term-level score bounds).
+    """MaxScore DAAT (engine/scoring.maxscore_topk) — the engine's
+    dynamic-pruning algorithm (essential/non-essential term-upper-bound
+    partitioning, Turtle & Flood 1995; block-skipping cursors, term-level
+    score bounds).
 
     Dynamic pruning is not SQL-expressible, so (like bm25_stemmed_wand)
     this gate is self-checking golden-grade: for every topic and every k
     the MaxScore top-k must be BIT-IDENTICAL — ids and float32 scores — to
-    both exhaustive TAAT and block-max WAND over the same index before
-    anything is returned.  Topics mix head and tail terms so the
-    essential/non-essential split actually moves during the run."""
+    exhaustive TAAT over the same index before anything is returned.
+    Topics mix head and tail terms so the essential/non-essential split
+    actually moves during the run."""
     from search_engine_ray.config import BM25Params
-    from search_engine_ray.engine.scoring import maxscore_topk, taat_bm25, wand_topk
+    from search_engine_ray.engine.scoring import maxscore_topk, taat_bm25
 
     r = _reader(sf_dir)
     # topic 4: the index's highest-df term (deterministic for a given
@@ -1333,11 +1333,8 @@ def q_bm25_maxscore_top10(sf_dir: str) -> pa.Table:
         for k in (3, 10, 100):
             mi, ms = maxscore_topk(r, kws, params, k, kind="bm25")
             ti, ts = taat_bm25(r, kws, params, k)
-            wi, ws = wand_topk(r, kws, params, k, kind="bm25")
             if mi.tolist() != ti.tolist() or ms.tolist() != ts.tolist():
                 raise AssertionError(f"maxscore != taat for topic {topic}, k={k}")
-            if mi.tolist() != wi.tolist() or ms.tolist() != ws.tolist():
-                raise AssertionError(f"maxscore != wand for topic {topic}, k={k}")
         ids, scores = maxscore_topk(r, kws, params, 10, kind="bm25")
         for rank, (d, s) in enumerate(zip(ids, scores), 1):
             rows["topic"].append(topic)
@@ -1427,10 +1424,13 @@ def q_bm25_qtf_top10(sf_dir: str) -> pa.Table:
 # ---- rows-only queries (non-SQL-expressible by design) ----
 
 def q_bm25_stemmed_wand(sf_dir: str) -> pa.Table:
-    """Full reference options (Porter stemming) + block-max WAND top-k.
+    """Full reference options (Porter stemming) + MaxScore top-k.
 
-    Porter + WAND are not SQL-expressible, so since round 3 this gate is
-    self-checking golden-grade (like bm25adpt_top10): the block-max WAND
+    The name stays although the gate runs MaxScore, because the driver
+    contract keys result rows by gate name.
+
+    Porter + dynamic pruning are not SQL-expressible, so this gate is
+    self-checking golden-grade (like bm25adpt_top10): the MaxScore
     result must be bit-identical to the in-repo oracle transcription's
     exhaustive TAAT BM25 (built fresh from documents.parquet with the same
     stemming options) before anything is returned — pinning the stemmed
@@ -1438,7 +1438,7 @@ def q_bm25_stemmed_wand(sf_dir: str) -> pa.Table:
     import pyarrow.parquet as pq
 
     from search_engine_ray.config import BM25Params
-    from search_engine_ray.engine.scoring import wand_topk
+    from search_engine_ray.engine.scoring import maxscore_topk
     from search_engine_ray.oracle.indexer import OracleIndex
     from search_engine_ray.oracle.scorers import score_bm25
 
@@ -1451,7 +1451,7 @@ def q_bm25_stemmed_wand(sf_dir: str) -> pa.Table:
     rows = {"topic": [], "doc_id": [], "rank": [], "score": []}
     engine_runs: dict[int, list[tuple[str, float]]] = {}
     for topic, kws in topics:
-        ids, scores = wand_topk(r, kws, BM25Params(), 20, kind="bm25")
+        ids, scores = maxscore_topk(r, kws, BM25Params(), 20, kind="bm25")
         engine_runs[topic] = [(str(r.doc_names[d]), float(s)) for d, s in zip(ids, scores)]
         for rank, (d, s) in enumerate(zip(ids, scores), 1):
             rows["topic"].append(topic)
@@ -1467,7 +1467,7 @@ def q_bm25_stemmed_wand(sf_dir: str) -> pa.Table:
         expected = [(n, float(s)) for n, s in score_bm25(oracle, kws, k=20)]
         if engine_runs[topic] != expected:
             raise AssertionError(
-                f"stemmed WAND != oracle TAAT for topic {topic}:\n"
+                f"stemmed MaxScore != oracle TAAT for topic {topic}:\n"
                 f"  engine={engine_runs[topic]}\n  oracle={expected}"
             )
     return pa.table(
@@ -1766,7 +1766,7 @@ def q_bm25adpt_cd_hist(sf_dir: str) -> pa.Table:
     The callable runs the REAL engine kernel (adpt_cd_counts over float32
     cds and the stats.json avgdl) and raises unless it equals the
     integer-exact counts, so a green driver row certifies the engine path."""
-    from search_engine_ray.engine.scoring import adpt_cd_counts
+    from search_engine_ray.engine.scoring import adpt_cd_counts, adpt_cds
 
     r = _reader(sf_dir)
     n = r.n_docs
@@ -1780,8 +1780,7 @@ def q_bm25adpt_cd_hist(sf_dir: str) -> pa.Table:
         if tp is None:
             continue
         _ids, tfs, dls = tp.arrays()
-        cds = (tfs / (1 - 0.75 + 0.75 * dls / avgdl)).astype(np.float32)
-        engine_counts = adpt_cd_counts(cds)
+        engine_counts = adpt_cd_counts(adpt_cds(tfs, dls, 0.75, avgdl))
         lhs = 8 * tfs.astype(np.int64) * total_tokens
         rhs_base = total_tokens + 3 * n * dls.astype(np.int64)
         exact = np.array(
@@ -4327,7 +4326,7 @@ def _pagerank_oracle_sql() -> str:
 # ===========================================================================
 
 def entry() -> Any:
-    """Flagship on sf0.001: pages corpus -> full index build -> WAND BM25 run."""
+    """Flagship on sf0.001: pages corpus -> full index build -> BM25 run."""
     import ray.data
 
     from search_engine_ray.config import BuildConfig
@@ -5720,7 +5719,7 @@ def q_bm25_deleted_top10(sf_dir: str) -> pa.Table:
 def q_bm25_compacted_top10(sf_dir: str) -> pa.Table:
     """Index compaction: tombstone the unfiltered top-3 BM25 docs, then
     COMPACT (engine/maintenance.compact_index — docIDs renumbered, df /
-    avgdl / n_docs exactly recomputed, WAND valid again) and rank.
+    avgdl / n_docs exactly recomputed, MaxScore valid again) and rank.
     Unlike the tombstone gate, survivor SCORES change (stats now exclude
     the deleted docs) — the oracle recomputes BM25 over the retained
     subset from scratch."""
@@ -7678,7 +7677,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "funnel_counts": q_funnel,
         "docs_rollup": q_docs_rollup,
         "lang_source_pivot": q_lang_source_pivot,
-        # rows-only, self-checking (bit-identity vs TAAT and WAND asserted
+        # rows-only, self-checking (bit-identity vs TAAT asserted
         # inside the callable — dynamic pruning is not SQL-expressible)
         "bm25_maxscore_top10": q_bm25_maxscore_top10,
         "bm25_conjunctive_top10": q_bm25_conjunctive_top10,

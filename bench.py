@@ -135,7 +135,7 @@ def run_benchmarks() -> dict:
         kws = [(terms[int(i)], 1) for i in rng.integers(0, len(terms), size=3)]
         topic_list.append((t, kws))
     params = BM25Params()
-    for method in ("wand", "maxscore", "auto"):
+    for method in ("maxscore", "auto"):
         lat = []
         for _t, kws in topic_list:
             q0 = time.perf_counter()

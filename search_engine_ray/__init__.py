@@ -15,7 +15,7 @@ as idiomatic Ray Data pipelines over zero-copy Arrow batches:
   global docIDs, actor-pool segment builder (partial posting aggregation),
   term-sharded groupby merge with delta+VByte compression and block-max
   metadata, resumable per-fragment manifests, and the query side (TAAT
-  scorers + block-max WAND DAAT, rank-identical to the oracle).
+  scorers + MaxScore DAAT, rank-identical to the oracle).
 - ``dataops`` — large-scale training-data operators (dedup exact /
   MinHash-LSH / SimHash / n-gram Jaccard, embedding similarity search,
   text quality & language heuristics, multimodal stubs).

@@ -1487,7 +1487,7 @@ def main(argv: list[str] | None = None) -> int:
     pq_.add_argument("query")
     pq_.add_argument("--scorer", default="bm25",
                      choices=["bm25", "tfidf", "bm25adpt", "lmd", "lmjm", "bm25plus", "pivoted", "pl2"])
-    pq_.add_argument("--method", default="auto", choices=["auto", "taat", "wand", "maxscore"])
+    pq_.add_argument("--method", default="auto", choices=["auto", "taat", "maxscore"])
     pq_.add_argument("--boolean", choices=["and", "or", "expr"], default=None,
                      help="expr: full query language (AND/OR/NOT, parens, "
                           "implicit AND, \"quoted phrases\") over the query "

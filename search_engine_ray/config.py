@@ -50,14 +50,14 @@ class BuildConfig:
 
     Defaults are sized for the sandbox (32 CPUs); at cluster scale raise
     ``segment_concurrency`` with the node count and keep ``block_entries``
-    fixed (block-max WAND consumes blocks independently, so head-term
+    fixed (MaxScore cursors consume blocks independently, so head-term
     posting lists are never materialized as one payload — see
     SURVEY.md §2.5 A2 / §7.4.3).
     """
 
     options: IndexOptions = field(default_factory=IndexOptions)
     bm25: BM25Params = field(default_factory=BM25Params)
-    # posting entries per compressed block (block-max WAND granularity)
+    # posting entries per compressed block (cursor skipping granularity)
     block_entries: int = 128
     # Postings codec: "vbyte" (delta+VByte, smallest) or "fixed"
     # (byte-aligned fixed-width cells — ~2x faster single-gather decode at

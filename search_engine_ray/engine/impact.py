@@ -143,13 +143,14 @@ def build_impact_index(
         m = int(micros.max()) if len(micros) else 0
         return pa.table({"m": pa.array([m], pa.int64())})
 
-    # pass A — global max impact (per-batch partial -> scalar reduce)
-    max_micros = int(
+    # pass A — global max impact (per-batch partial -> scalar reduce);
+    # Dataset.max is None over an empty postings set
+    max_micros = (
         ray.data.read_parquet(post_dir, columns=_POSTING_COLS)
         .map_batches(batch_max, batch_format="pyarrow")
         .max("m")
     )
-    max_micros = max(max_micros, 1)
+    max_micros = max(int(max_micros or 0), 1)
     q_span = quant_levels - 1
     s_max = max(int(np.floor(np.sqrt(float(max_micros)))), 1)
 
@@ -252,8 +253,9 @@ def build_impact_index(
         "quant_levels": quant_levels, "max_micros": max_micros,
         "num_buckets": num_buckets,
         "n_docs": n_docs, "avgdl": avgdl, "k1": k1, "b": b,
-        "n_segments": int(written["n_segments"].sum()),
-        "n_postings": int(written["n_postings"].sum()),
+        # an empty dataset's to_pandas() has no columns at all
+        "n_segments": int(written["n_segments"].sum()) if len(written) else 0,
+        "n_postings": int(written["n_postings"].sum()) if len(written) else 0,
     }
     with open(os.path.join(out_dir, "impact_meta.json"), "w") as f:
         json.dump(meta, f)
@@ -388,9 +390,12 @@ def saat_topk_sharded(
     n_shards: int = 4,
     concurrency: int | tuple[int, int] = (1, 4),
     doc_key: np.ndarray | None = None,
+    exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Doc-range-sharded SAAT — the tier's 10^12-doc serving path,
-    bit-identical to :func:`saat_topk` (tested).  The anytime admission
+    bit-identical to :func:`saat_topk` (tested), tombstone ``exclude``
+    mask included: each shard drops its masked docs before its local
+    top-k.  The anytime admission
     rule is applied ONCE, globally, from segment (term, q, n) metadata —
     no payload decode — then each shard actor slices every admitted
     segment to its docID range (segments are docID-ascending, so the
@@ -418,12 +423,14 @@ def saat_topk_sharded(
     adm_ref = ray.put(adm_tbl)
     qtf_ref = ray.put(qtf_map)
     key_ref = ray.put(doc_key)
+    exclude_ref = ray.put(exclude)
 
     class ShardSaat:
         def __init__(self):
             self.adm: pa.Table = ray.get(adm_ref)
             self.qtf: dict[str, int] = ray.get(qtf_ref)
             self.key = ray.get(key_ref)
+            self.exclude = ray.get(exclude_ref)
             self.lens = np.asarray(self.adm["n"], dtype=np.int64)
             self.terms = self.adm["term"].to_pylist()
             self.qs = np.asarray(self.adm["q"], dtype=np.int64)
@@ -449,6 +456,8 @@ def saat_topk_sharded(
                     local = ids[a:b] - lo
                     scores[local] += int(self.qs[i]) * self.qtf[self.terms[i]]
                     touched[local] = True
+                if self.exclude is not None:
+                    touched &= ~self.exclude[lo:hi]
                 cand = np.flatnonzero(touched)
                 if len(cand) == 0:
                     continue
@@ -470,13 +479,16 @@ def saat_topk_sharded(
     shard_ds = ray.data.from_items(
         [{"lo": int(bounds[i]), "hi": int(bounds[i + 1])} for i in range(n_shards)]
     )
-    rows = pa.concat_tables(
+    batches = [
         pa.table(b)
         for b in shard_ds.map_batches(
             ShardSaat, batch_size=1, batch_format="pyarrow",
             concurrency=concurrency,
         ).iter_batches(batch_size=None, batch_format="pyarrow")
-    )
+    ]
+    if not batches:  # every shard came back empty (e.g. all matches masked)
+        return np.empty(0, np.int64), np.empty(0, np.int64), processed
+    rows = pa.concat_tables(batches)
     docs = np.asarray(rows["doc"], dtype=np.int64)
     scores = np.asarray(rows["score"], dtype=np.int64)
     if len(docs) == 0:

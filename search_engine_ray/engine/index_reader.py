@@ -13,8 +13,8 @@ SURVEY.md §2.3).  Two load modes:
   of ``postings/`` and touches only requested terms' row groups.
 
 Blocks for one term are kept in ascending doc-range order and decoded
-lazily (block-max WAND reads block metadata first, payload only when a
-block survives pruning).
+lazily (MaxScore cursors read block metadata first and skip whole
+blocks by doc range without decoding them).
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ global name map.
 
 Query semantics: tombstoned docs never appear in results; scores of
 surviving docs are UNCHANGED (corpus-wide idf — the Lucene contract).
-WAND composes exactly: block-max bounds computed over all postings are
+MaxScore composes exactly: term bounds computed over all postings are
 still valid upper bounds for the live docs, and dead docs are dropped
-at window evaluation before entering the heap — WAND stays available
-and bit-identical to masked TAAT (tested).
+at window evaluation before entering the heap — MaxScore stays
+available and bit-identical to masked TAAT (tested).
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     docs, with dense renumbered docIDs and exactly recomputed statistics
     (n_docs, avgdl, per-term df, block score bounds) — after compaction
     the index scores IDENTICALLY to a fresh build over the retained
-    corpus (tested bit-identical), and WAND is valid again.
+    corpus (tested bit-identical), and its block bounds are exact again.
 
     Dataflow (shard structure preserved — no re-tokenization, no
     re-shuffle):

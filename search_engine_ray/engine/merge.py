@@ -14,7 +14,7 @@ Keys and skew (SURVEY.md §4, §7.4.3):
 - ``shard = frag_id // frags_per_shard`` caps any group's payload by doc
   range: a head term (df ~ N, e.g. a disabled stopword) is merged
   per-shard into independent fixed-size blocks and is NEVER concatenated
-  into one payload anywhere — block-max WAND consumes blocks
+  into one payload anywhere — the MaxScore cursors consume blocks
   independently.  Blocks are globally docID-ordered because fragments
   (hence shards) own disjoint ascending docID ranges.
 

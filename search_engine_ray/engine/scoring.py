@@ -1,24 +1,23 @@
-"""Query-time scoring: vectorized TAAT scorers + block-max WAND DAAT.
+"""Query-time scoring: vectorized TAAT scorers + MaxScore DAAT.
 
 Scorer formulas transcribe the reference exactly (see oracle/scorers.py for
 the file:line map of every quirk — integer-division TF-IDF idf, negative
 BM25 idf, unused ln(1+tf), float32 per-(term,doc) casts and float32
-accumulation).  TAAT accumulates into a dense float32 array (docIDs are
-dense by construction) with per-term contributions added in QUERY ORDER —
-the same float32 operation order as the oracle's dict accumulation, so
-scores are bit-identical, not just close.
+accumulation).  ``_TermWeight`` is the one copy of the BM25 / TF-IDF idf and
+per-posting contribution expressions; TAAT, MaxScore, ranked AND and the
+doc-range-sharded scorer all call it.  TAAT accumulates into a dense float32
+array (docIDs are dense by construction) with per-term contributions added
+in QUERY ORDER — the same float32 operation order as the oracle's dict
+accumulation, so scores are bit-identical, not just close.
 
-WAND (A5/J4 done properly, SURVEY.md §2.5): document-at-a-time traversal
-with a bounded top-k heap; per-term upper bounds come from the
-idf-independent block metadata (ub_tfn/lb_tfn/ub_logtf) times the query
-factor; negative-idf terms get their bound clamped to 0 (a valid, looser
-bound) so pivot prefix-sums stay monotone.  Block skipping decodes a block
-only when its doc range is reached AND its block-level bound survives the
-threshold.  When a pivot document is evaluated, contributions are summed
-in query order (bit-identical to TAAT) — WAND only prunes documents that
-cannot enter the top-k, so the returned top-k set, scores, and tie-broken
-ranking (ascending docID on equal scores) match exhaustive TAAT exactly
-(property-tested in tests/test_query.py).
+MaxScore (Turtle & Flood 1995) is the dynamic-pruning path: document-at-a-
+time traversal over block-skipping cursors with a bounded top-k heap;
+per-term upper bounds come from the idf-independent block metadata
+(ub_tfn/lb_tfn/ub_logtf) times the query factor.  It only prunes documents
+that cannot enter the top-k and re-folds each candidate's score in query
+order, so the returned top-k set, scores, and tie-broken ranking (ascending
+docID on equal scores) match exhaustive TAAT exactly (property-tested in
+tests/test_query.py).
 """
 
 from __future__ import annotations
@@ -30,15 +29,54 @@ import numpy as np
 
 from ..config import BM25Params
 from ..oracle.scorers import _getk1
-from .index_reader import IndexReader, TermPostings
+from .index_reader import Block, IndexReader, TermPostings
 
 F32 = np.float32
 # Safety margin added to float64 upper bounds before pruning against the
 # float32 threshold (loosens pruning; never affects correctness).
 _EPS = 1e-3
-# Max docs per vectorized WAND evaluation window (scratch stays in cache;
-# large enough to amortize per-window numpy overhead across blocks).
+# Max docs per vectorized MaxScore window (scratch stays in cache; large
+# enough to amortize per-window numpy overhead across blocks).
 _WINDOW_CAP = 8192
+
+
+class _TermWeight:
+    """One query term's idf and query factor, and its float32 per-posting
+    contribution.  The expressions and their operation order are the
+    oracle's, so every caller is bit-identical to it.  TF-IDF ignores qtf
+    and document length, as the reference does (``params`` may be None)."""
+
+    __slots__ = ("kind", "idf", "qterm", "params", "avgdl")
+
+    def __init__(self, kind: str, n_docs: int, df: int, qtf: int,
+                 params: BM25Params | None, avgdl: float):
+        self.kind = kind
+        self.params = params
+        self.avgdl = avgdl
+        if kind == "tfidf":
+            self.idf = math.log(n_docs // df)  # reference integer-division quirk
+            self.qterm = 1.0
+        elif kind == "bm25":
+            self.idf = math.log((n_docs - df + 0.5) / (df + 0.5))
+            self.qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
+        else:
+            raise ValueError(f"unknown scoring kind {kind!r} (bm25/tfidf)")
+
+    def contrib(self, tfs: np.ndarray, dls: np.ndarray) -> np.ndarray:
+        if self.kind == "tfidf":
+            return (np.log1p(tfs) * self.idf).astype(np.float32)
+        k1, b = self.params.k1, self.params.b
+        doc_term = 1 - b + b * (dls / self.avgdl)
+        return (self.idf * (tfs * (k1 + 1)) / (tfs + k1 * doc_term) * self.qterm).astype(np.float32)
+
+    def block_bound(self, blk: Block) -> float:
+        # stored tfn = tf/(tf + k1*norm); BM25 contribution = idf*(k1+1)*tfn*qterm.
+        # For negative idf the *least* tfn gives the largest (least negative)
+        # contribution, hence lb_tfn.
+        if self.kind == "tfidf":
+            return self.idf * blk.ub_logtf
+        tfn = blk.ub_tfn if self.idf > 0 else blk.lb_tfn
+        return self.idf * (self.params.k1 + 1) * tfn * self.qterm
 
 
 # --------------------------------------------------------------------------
@@ -54,49 +92,67 @@ def _topk_from_dense(scores: np.ndarray, touched: np.ndarray, k: int) -> tuple[n
     return cand[order], s[order]
 
 
-def taat_bm25(
-    reader: IndexReader, keywords: list[tuple[str, int]], params: BM25Params, k: int = 1000,
-    exclude: np.ndarray | None = None,
+def _taat(
+    reader: IndexReader, keywords: list[tuple[str, int]], kind: str,
+    params: BM25Params | None, k: int, exclude: np.ndarray | None = None,
+    width: int | None = None, adpt_params: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive TAAT for ``kind`` in {bm25, tfidf, bm25adpt} into a dense
+    accumulator of ``width`` doc ordinals (default ``reader.n_docs``; a
+    doc-range shard passes its own range while idf keeps the global N).
+    bm25adpt takes each term's (k1, IGs[1]) from ``adpt_params`` when given
+    (the sharded phase-1 result), else from the term's own cd counts."""
     n = reader.n_docs
     avgdl = reader.avgdl
-    scores = np.zeros(n, dtype=np.float32)
-    touched = np.zeros(n, dtype=bool)
+    width = n if width is None else width
+    scores = np.zeros(width, dtype=np.float32)
+    touched = np.zeros(width, dtype=bool)
     for term, qtf in keywords:
         tp = reader.postings(term)
         if tp is None:
             continue
         ids, tfs, dls = tp.arrays()
-        idf = math.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
-        doc_term = 1 - params.b + params.b * (dls / avgdl)
-        contrib = (idf * (tfs * (params.k1 + 1)) / (tfs + params.k1 * doc_term) * qterm).astype(np.float32)
+        if kind == "bm25adpt":
+            cds = adpt_cds(tfs, dls, params.b, avgdl)
+            if adpt_params is not None:
+                k1, ig1 = adpt_params[term]
+            else:
+                k1, ig1 = adpt_term_params(n, tp.df, adpt_cd_counts(cds))
+            contrib = adpt_contrib(cds, qtf, k1, ig1)
+        else:
+            contrib = _TermWeight(kind, n, tp.df, qtf, params, avgdl).contrib(tfs, dls)
         scores[ids] = scores[ids] + contrib
         touched[ids] = True
     if exclude is not None:
         touched &= ~exclude
     return _topk_from_dense(scores, touched, k)
+
+
+def taat_bm25(
+    reader: IndexReader, keywords: list[tuple[str, int]], params: BM25Params, k: int = 1000,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    return _taat(reader, keywords, "bm25", params, k, exclude)
 
 
 def taat_tfidf(
     reader: IndexReader, keywords: list[tuple[str, int]], k: int = 1000,
     exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = reader.n_docs
-    scores = np.zeros(n, dtype=np.float32)
-    touched = np.zeros(n, dtype=bool)
-    for term, _qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, _dls = tp.arrays()
-        idf = math.log(n // tp.df)  # reference integer-division quirk
-        contrib = (np.log1p(tfs) * idf).astype(np.float32)
-        scores[ids] = scores[ids] + contrib
-        touched[ids] = True
-    if exclude is not None:
-        touched &= ~exclude
-    return _topk_from_dense(scores, touched, k)
+    return _taat(reader, keywords, "tfidf", None, k, exclude)
+
+
+def taat_bm25_adpt(
+    reader: IndexReader, keywords: list[tuple[str, int]], params: BM25Params, k: int = 1000,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    return _taat(reader, keywords, "bm25adpt", params, k, exclude)
+
+
+def adpt_cds(tfs: np.ndarray, dls: np.ndarray, b: float, avgdl: float) -> np.ndarray:
+    """Per-posting length-normalised tf (cd, float32) that BM25-ADPT's IG
+    curve and contributions are computed from."""
+    return (tfs / (1 - b + b * dls / avgdl)).astype(np.float32)
 
 
 def adpt_cd_counts(cds: np.ndarray) -> np.ndarray:
@@ -152,63 +208,24 @@ def adpt_contrib(cds: np.ndarray, qtf: int, k1: np.float32, ig1: np.float32) -> 
         return (F32(qtf) * ck * ig1).astype(np.float32)
 
 
-def taat_bm25_adpt(
-    reader: IndexReader, keywords: list[tuple[str, int]], params: BM25Params, k: int = 1000,
-    exclude: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    b = params.b
-    scores = np.zeros(n, dtype=np.float32)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        cds = (tfs / (1 - b + b * dls / avgdl)).astype(np.float32)
-        k1, ig1 = adpt_term_params(n, tp.df, adpt_cd_counts(cds))
-        contrib = adpt_contrib(cds, qtf, k1, ig1)
-        scores[ids] = scores[ids] + contrib
-        touched[ids] = True
-    if exclude is not None:
-        touched &= ~exclude
-    return _topk_from_dense(scores, touched, k)
-
-
 # --------------------------------------------------------------------------
-# Block-max WAND DAAT
+# Block-skipping cursors + MaxScore DAAT
 # --------------------------------------------------------------------------
 
 class _Cursor:
-    __slots__ = ("tp", "qpos", "idf", "qterm", "blocks", "bi", "pos", "ids",
-                 "tfs", "dls", "ub", "params", "avgdl", "kind", "cur")
+    __slots__ = ("qpos", "w", "blocks", "bi", "pos", "ids", "tfs", "dls", "ub", "cur")
 
-    def __init__(self, tp: TermPostings, qpos: int, idf: float, qterm: float,
-                 params: BM25Params, avgdl: float, kind: str):
-        self.tp = tp
+    def __init__(self, tp: TermPostings, qpos: int, w: _TermWeight):
         self.qpos = qpos
-        self.idf = idf
-        self.qterm = qterm
-        self.params = params
-        self.avgdl = avgdl
-        self.kind = kind
+        self.w = w
         self.blocks = tp.blocks
         self.bi = 0
         self.pos = 0
         self.ids = self.tfs = self.dls = None
-        # term-level upper bound (clamped >= 0 so pivot prefix sums are monotone)
-        self.ub = max(0.0, max(self._block_bound(b) for b in self.blocks)) + _EPS
+        # term-level upper bound (clamped >= 0 so the non-essential prefix
+        # sums are monotone)
+        self.ub = max(0.0, max(w.block_bound(b) for b in self.blocks)) + _EPS
         self._load_block()
-
-    def _block_bound(self, blk) -> float:
-        # stored tfn = tf/(tf + k1*norm); BM25 contribution = idf*(k1+1)*tfn*qterm.
-        # For negative idf the *least* tfn gives the largest (least negative)
-        # contribution, hence lb_tfn.
-        if self.kind == "tfidf":
-            return self.idf * blk.ub_logtf
-        tfn = blk.ub_tfn if self.idf > 0 else blk.lb_tfn
-        return self.idf * (self.params.k1 + 1) * tfn * self.qterm
 
     def _load_block(self):
         if self.bi < len(self.blocks):
@@ -241,20 +258,6 @@ class _Cursor:
             self.pos = pos
             self.cur = int(self.ids[pos])
 
-    def advance(self) -> None:
-        self.pos += 1
-        if self.pos >= len(self.ids):
-            self.bi += 1
-            self._load_block()
-        else:
-            self.cur = int(self.ids[self.pos])
-
-    def current_block_bound(self) -> float:
-        return max(0.0, self._block_bound(self.blocks[self.bi])) + _EPS
-
-    def current_block_last(self) -> int:
-        return self.blocks[self.bi].last_doc
-
     def gather_range(self, w_end: int) -> tuple[np.ndarray, np.ndarray]:
         """Consume all postings with doc < w_end (possibly spanning blocks);
         returns (doc_ids, float32 contributions) and leaves the cursor on
@@ -279,157 +282,22 @@ class _Cursor:
         return np.concatenate(ids_parts), np.concatenate(contrib_parts)
 
     def slice_contrib(self, lo: int, hi: int) -> np.ndarray:
-        """Vectorized float32 contributions for postings [lo, hi) of the
-        current block — identical expression/casts to the TAAT scorers."""
-        tfs = self.tfs[lo:hi]
-        if self.kind == "tfidf":
-            return (np.log1p(tfs) * self.idf).astype(np.float32)
-        dls = self.dls[lo:hi]
-        doc_term = 1 - self.params.b + self.params.b * (dls / self.avgdl)
-        return (
-            self.idf * (tfs * (self.params.k1 + 1)) / (tfs + self.params.k1 * doc_term) * self.qterm
-        ).astype(np.float32)
+        """Float32 contributions for postings [lo, hi) of the current block."""
+        return self.w.contrib(self.tfs[lo:hi], self.dls[lo:hi])
 
 
 def _build_cursors(
     reader: IndexReader, keywords: list[tuple[str, int]], params: BM25Params, kind: str
 ) -> list[_Cursor]:
-    """Shared by wand_topk/maxscore_topk: one cursor per present term, with
-    the SAME idf expressions as the TAAT scorers (incl. the tfidf integer-
-    division quirk) so every DAAT path stays bit-identical to TAAT."""
-    n = reader.n_docs
+    """One cursor per present term, numbered in query order."""
     cursors: list[_Cursor] = []
-    qpos = 0
     for term, qtf in keywords:
         tp = reader.postings(term)
         if tp is None or not tp.blocks:
             continue
-        if kind == "tfidf":
-            idf = math.log(n // tp.df)
-            qterm = 1.0
-        else:
-            idf = math.log((n - tp.df + 0.5) / (tp.df + 0.5))
-            qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
-        cursors.append(_Cursor(tp, qpos, idf, qterm, params, reader.avgdl, kind))
-        qpos += 1
+        w = _TermWeight(kind, reader.n_docs, tp.df, qtf, params, reader.avgdl)
+        cursors.append(_Cursor(tp, len(cursors), w))
     return cursors
-
-
-def _ranked_from_heap(heap: list[tuple[float, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(score desc, docID asc) — the shared DAAT tie-break epilogue."""
-    ranked = sorted(heap, key=lambda p: (-p[0], -p[1]))
-    ids = np.asarray([-d for _s, d in ranked], dtype=np.int64)
-    scores = np.asarray([s for s, _d in ranked], dtype=np.float32)
-    return ids, scores
-
-
-def wand_topk(
-    reader: IndexReader,
-    keywords: list[tuple[str, int]],
-    params: BM25Params,
-    k: int = 1000,
-    kind: str = "bm25",
-    exclude: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``exclude``: boolean mask of tombstoned doc ordinals.  Dead docs
-    are dropped at window evaluation (never enter the heap); block-max
-    bounds computed over all postings remain VALID upper bounds for the
-    live docs (removing docs can only lower a block's max), so pruning
-    stays conservative-correct — results are bit-identical to TAAT with
-    the same mask (tested)."""
-    cursors = _build_cursors(reader, keywords, params, kind)
-
-    heap: list[tuple[float, int]] = []  # (score, -doc) min-heap; weakest first
-
-    def threshold() -> float:
-        return heap[0][0] if len(heap) == k else -math.inf
-
-    live = [c for c in cursors if not c.exhausted]
-    while live:
-        live.sort(key=lambda c: c.cur)
-        # pivot: smallest prefix of sorted cursors whose ub sum beats threshold
-        th = threshold()
-        acc = 0.0
-        pivot = -1
-        for i, c in enumerate(live):
-            acc += c.ub
-            if acc > th:
-                pivot = i
-                break
-        if pivot < 0:
-            break  # no document can enter the top-k
-        pivot_doc = live[pivot].cur
-
-        if live[0].cur == pivot_doc:
-            # Involved set = every cursor at pivot_doc INCLUDING ties beyond
-            # the pivot index (their contributions count toward any doc in
-            # the window, so the bound must include them).
-            p2 = pivot
-            while p2 + 1 < len(live) and live[p2 + 1].cur == pivot_doc:
-                p2 += 1
-            # block-max refinement: re-check with current block bounds
-            block_acc = 0.0
-            for c in live[: p2 + 1]:
-                block_acc += c.current_block_bound()
-            if block_acc <= th:
-                # Skip to the next block boundary among involved cursors,
-                # capped at the next cursor's current doc — past that point
-                # cursors outside the checked prefix could contribute.
-                d_next = min(c.current_block_last() for c in live[: p2 + 1]) + 1
-                if p2 + 1 < len(live):
-                    d_next = min(d_next, live[p2 + 1].cur)
-                target = max(d_next, pivot_doc + 1)
-                for c in live[: p2 + 1]:
-                    if c.cur < target:
-                        c.advance_to(target)
-            else:
-                # Evaluate a whole WINDOW vectorized.  All cursors with
-                # cur == pivot_doc form the involved set (sorted order means
-                # the prefix up to and including every tie).  Every document
-                # in [pivot_doc, w_end) is fully covered by the involved
-                # cursors' CURRENT blocks: w_end stops at the earliest
-                # current-block end and at the next cursor's doc.
-                involved = [c for c in live if c.cur == pivot_doc]
-                # window may span multiple blocks (capped so the scratch
-                # array stays cache-resident); it always stops before the
-                # next non-involved cursor's doc so coverage stays complete
-                w_end = pivot_doc + _WINDOW_CAP
-                if len(involved) < len(live):
-                    w_end = min(w_end, live[len(involved)].cur)
-                width = w_end - pivot_doc
-                scratch = np.zeros(width, dtype=np.float32)
-                touched = np.zeros(width, dtype=bool)
-                # term-outer accumulation in QUERY ORDER — the same float32
-                # operation order as TAAT, so scores stay bit-identical
-                for c in sorted(involved, key=lambda c: c.qpos):
-                    ids, contrib = c.gather_range(w_end)
-                    rel = ids - pivot_doc
-                    scratch[rel] = scratch[rel] + contrib
-                    touched[rel] = True
-                cand = np.flatnonzero(touched)
-                if exclude is not None and len(cand):
-                    live_keep = ~exclude[pivot_doc + cand]
-                    cand = cand[live_keep]
-                cand_scores = scratch[cand]
-                # bulk pre-filter against the window-entry threshold
-                # (threshold only rises, so this is conservative-correct)
-                if len(heap) == k:
-                    keep = cand_scores > th
-                    cand, cand_scores = cand[keep], cand_scores[keep]
-                for rel, score in zip(cand.tolist(), cand_scores.tolist()):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (score, -(pivot_doc + rel)))
-                    elif score > heap[0][0]:
-                        heapq.heapreplace(heap, (score, -(pivot_doc + rel)))
-                # involved cursors were advanced past the window by gather_range
-        else:
-            # advance cursors before the pivot up to pivot_doc
-            for c in live[:pivot]:
-                if c.cur < pivot_doc:
-                    c.advance_to(pivot_doc)
-        live = [c for c in live if not c.exhausted]
-
-    return _ranked_from_heap(heap)
 
 
 def conjunctive_bm25(
@@ -453,37 +321,21 @@ def conjunctive_bm25(
     docs = boolean_and(reader, [t for t, _ in keywords])
     if len(docs) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-    n = reader.n_docs
-    avgdl = reader.avgdl
     scores = np.zeros(len(docs), dtype=np.float32)
     for term, qtf in keywords:
         tp = reader.postings(term)
-        idf = math.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
+        w = _TermWeight("bm25", reader.n_docs, tp.df, qtf, params, reader.avgdl)
         for blk in tp.blocks:
             lo = int(np.searchsorted(docs, blk.first_doc))
             hi = int(np.searchsorted(docs, blk.last_doc, side="right"))
             if lo == hi:
                 continue  # no matched doc in this block: never decoded
             bids, btfs, bdls = blk.decode()
-            sub = docs[lo:hi]
-            pos = np.searchsorted(bids, sub)
-            tfs = btfs[pos]
-            dls = bdls[pos]
-            doc_term = 1 - params.b + params.b * (dls / avgdl)
-            contrib = (
-                idf * (tfs * (params.k1 + 1)) / (tfs + params.k1 * doc_term) * qterm
-            ).astype(np.float32)
-            scores[lo:hi] = scores[lo:hi] + contrib
+            pos = np.searchsorted(bids, docs[lo:hi])
+            scores[lo:hi] = scores[lo:hi] + w.contrib(btfs[pos], bdls[pos])
     order = np.lexsort((docs, -scores.astype(np.float64)))[:k]
     return docs[order], scores[order]
 
-
-# --------------------------------------------------------------------------
-# MaxScore DAAT (Turtle & Flood 1995 term-upper-bound partitioning over the
-# same block-skipping cursors as WAND; pruning uses TERM-level bounds only —
-# the per-block bound refinement is WAND's, not replicated here)
-# --------------------------------------------------------------------------
 
 def maxscore_topk(
     reader: IndexReader,
@@ -493,16 +345,16 @@ def maxscore_topk(
     kind: str = "bm25",
     exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """MaxScore top-k, bit-identical to TAAT/WAND (tested).
+    """MaxScore top-k, bit-identical to TAAT (tested).
 
     Live terms are sorted by ascending term upper bound and split into a
     NON-ESSENTIAL prefix (cumulative ub <= heap threshold) and an ESSENTIAL
-    suffix.  Only essential cursors enumerate documents (vectorized windows,
-    like WAND's dense path); non-essential cursors are probed per surviving
-    candidate in descending-ub order with early abandon on the remaining-ub
-    bound.  Docs matched only by non-essential terms are skipped outright:
-    per-term ubs carry +_EPS, so such a doc's true score is STRICTLY below
-    the threshold and can never tie into the top-k.
+    suffix.  Only essential cursors enumerate documents (vectorized
+    windows); non-essential cursors are probed per surviving candidate in
+    descending-ub order with early abandon on the remaining-ub bound.  Docs
+    matched only by non-essential terms are skipped outright: per-term ubs
+    carry +_EPS, so such a doc's true score is STRICTLY below the threshold
+    and can never tie into the top-k.
 
     A global ascending ``frontier`` keeps enumeration strictly doc-ordered
     across partition changes (a probed-but-not-consumed non-essential posting
@@ -515,25 +367,13 @@ def maxscore_topk(
     matching terms in QUERY order (the same add order as the TAAT dense
     accumulator), so scores are bit-identical, not just rank-identical.
 
-    ``exclude`` composes exactly as in :func:`wand_topk`: bounds computed
-    over all postings remain valid for the live docs, and dead docs are
-    dropped before they can enter the heap.
+    ``exclude``: boolean mask of tombstoned doc ordinals.  Bounds computed
+    over all postings remain valid upper bounds for the live docs (removing
+    docs can only lower a term's max), and dead docs are dropped before they
+    can enter the heap — results are bit-identical to TAAT with the same
+    mask (tested).
     """
-    n = reader.n_docs
-    cursors: list[_Cursor] = []
-    qpos = 0
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None or not tp.blocks:
-            continue
-        if kind == "tfidf":
-            idf = math.log(n // tp.df)
-            qterm = 1.0
-        else:
-            idf = math.log((n - tp.df + 0.5) / (tp.df + 0.5))
-            qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
-        cursors.append(_Cursor(tp, qpos, idf, qterm, params, reader.avgdl, kind))
-        qpos += 1
+    cursors = _build_cursors(reader, keywords, params, kind)
 
     heap: list[tuple[float, int]] = []  # (score, -doc) min-heap; weakest first
 
@@ -633,4 +473,8 @@ def maxscore_topk(
         frontier = w_end
         live = [c for c in live if not c.exhausted]
 
-    return _ranked_from_heap(heap)
+    # (score desc, docID asc) — the TAAT tie-break
+    ranked = sorted(heap, key=lambda p: (-p[0], -p[1]))
+    ids = np.asarray([-d for _s, d in ranked], dtype=np.int64)
+    scores = np.asarray([s for s, _d in ranked], dtype=np.float32)
+    return ids, scores

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..config import BM25Params
 from .index_reader import IndexReader
-from .scoring import maxscore_topk, taat_bm25, taat_bm25_adpt, taat_tfidf, wand_topk
+from .scoring import maxscore_topk, taat_bm25, taat_bm25_adpt, taat_tfidf
 
 RUN_SCHEMA = pa.schema(
     [
@@ -45,31 +45,31 @@ def register_scorer(name: str, fn) -> None:
     _CUSTOM_SCORERS[name] = fn
 
 
-# Method choice (results are identical either way — WAND only prunes docs
-# that cannot enter the top-k):
+# Method choice (results are identical either way — MaxScore only prunes
+# docs that cannot enter the top-k):
 # - vectorized TAAT wins whenever its dense score array fits comfortably
-#   and k is large (the heap threshold then rises too slowly for WAND's
-#   pruning to pay for its traversal);
-# - WAND wins for small k over long posting lists (pruning skips block
+#   and k is large (the heap threshold then rises too slowly for pruning
+#   to pay for its traversal);
+# - MaxScore wins for small k over long posting lists (pruning skips block
 #   decodes), and is mandatory when the corpus is too big for a dense
 #   array (the sharded path bounds that per shard).
-_AUTO_WAND_MIN_POSTINGS = 2_000_000
-_AUTO_WAND_MAX_K = 100
+METHODS = ("auto", "taat", "maxscore")
+_AUTO_MAXSCORE_MIN_POSTINGS = 2_000_000
+_AUTO_MAXSCORE_MAX_K = 100
 _AUTO_DENSE_MAX_DOCS = 20_000_000
 
 
 def _resolve_method(
     reader: IndexReader, keywords: list[tuple[str, int]], method: str, k: int = 1000
 ) -> str:
-    """auto picks MaxScore for the pruning branch: measured 3-7x faster
-    than WAND at every k on the bench corpus (BASELINE.md r4; both are
-    bit-identical to TAAT, so the choice is purely a latency call)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "auto":
         return method
     if reader.n_docs > _AUTO_DENSE_MAX_DOCS:
         return "maxscore"
     total = sum(reader._df.get(t, 0) for t, _ in keywords)
-    if k <= _AUTO_WAND_MAX_K and total > _AUTO_WAND_MIN_POSTINGS:
+    if k <= _AUTO_MAXSCORE_MAX_K and total > _AUTO_MAXSCORE_MIN_POSTINGS:
         return "maxscore"
     return "taat"
 
@@ -84,26 +84,27 @@ def score_topic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Returns (doc_ids, scores) ranked desc, ties broken by ascending docID.
 
-    method: "wand" (block-max DAAT), "maxscore" (essential/non-essential
-    term partitioning DAAT), "taat" (exhaustive vectorized), or "auto"
-    (pick by total candidate-posting volume; results identical)."""
+    method: "maxscore" (essential/non-essential term partitioning DAAT),
+    "taat" (exhaustive vectorized), or "auto" (pick by total
+    candidate-posting volume; results identical).  Any other value raises
+    ValueError."""
     params = params or BM25Params()
     requested = method
     method = _resolve_method(reader, keywords, method, k)
     deleted = reader.deleted_mask()
-    # tombstones and WAND/MaxScore compose: block-max bounds computed over
-    # ALL postings stay valid upper bounds for the live docs, and dead docs
-    # are dropped at window evaluation before they can enter the heap
-    # (engine/scoring.wand_topk / maxscore_topk) — no fallback needed.
-    if scorer == "bm25" and method in ("wand", "maxscore"):
-        # WAND prunes against block metadata (ub_tfn/lb_tfn) computed at
-        # BUILD time with the index's k1/b; different query-time params make
-        # those bounds stale and pruning incorrect.  auto falls back to the
-        # always-correct exhaustive TAAT; an explicit method="wand" request
-        # is an error (ADVICE r1).
+    # tombstones and MaxScore compose: term bounds computed over ALL
+    # postings stay valid upper bounds for the live docs, and dead docs are
+    # dropped at window evaluation before they can enter the heap
+    # (engine/scoring.maxscore_topk) — no fallback needed.
+    if scorer == "bm25" and method == "maxscore":
+        # MaxScore prunes against block metadata (ub_tfn/lb_tfn) computed
+        # at BUILD time with the index's k1/b; different query-time params
+        # make those bounds stale and pruning incorrect.  auto falls back to
+        # the always-correct exhaustive TAAT; an explicit method="maxscore"
+        # request is an error.
         built = reader.stats.get("bm25", {})
         if (built.get("k1"), built.get("b")) != (params.k1, params.b):
-            if requested in ("wand", "maxscore"):
+            if requested == "maxscore":
                 raise ValueError(
                     f"method={requested!r} requires the build-time BM25 params "
                     f"(k1={built.get('k1')}, b={built.get('b')}); got "
@@ -111,17 +112,11 @@ def score_topic(
                     "rebuild the index with these params"
                 )
             method = "taat"
-    if scorer == "bm25":
-        if method == "wand":
-            return wand_topk(reader, keywords, params, k, kind="bm25", exclude=deleted)
+    if scorer in ("bm25", "tfidf"):
         if method == "maxscore":
-            return maxscore_topk(reader, keywords, params, k, kind="bm25", exclude=deleted)
-        return taat_bm25(reader, keywords, params, k, exclude=deleted)
-    if scorer == "tfidf":
-        if method == "wand":
-            return wand_topk(reader, keywords, params, k, kind="tfidf", exclude=deleted)
-        if method == "maxscore":
-            return maxscore_topk(reader, keywords, params, k, kind="tfidf", exclude=deleted)
+            return maxscore_topk(reader, keywords, params, k, kind=scorer, exclude=deleted)
+        if scorer == "bm25":
+            return taat_bm25(reader, keywords, params, k, exclude=deleted)
         return taat_tfidf(reader, keywords, k, exclude=deleted)
     if scorer == "bm25adpt":
         # needs the full tf distribution per term -> always exhaustive

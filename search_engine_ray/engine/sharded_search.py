@@ -140,12 +140,13 @@ class _ShardIndexView:
 
 
 def _shard_cds(view: _ShardIndexView, term: str, b: float):
+    from .scoring import adpt_cds
+
     tp = view.postings(term)
     if tp is None:
         return None
     ids, tfs, dls = tp.arrays()
-    cds = (tfs / (1 - b + b * dls / view.avgdl)).astype(np.float32)
-    return ids, cds
+    return ids, adpt_cds(tfs, dls, b, view.avgdl)
 
 
 class AdptHistogram:
@@ -183,58 +184,16 @@ class AdptHistogram:
 
 
 def _shard_scores(view: _ShardIndexView, keywords, scorer: str, params: BM25Params, k: int,
-                  adpt_params: dict | None = None):
-    """Score one shard; returns GLOBAL doc ids + scores (top-k local)."""
-    import math
+                  method: str, adpt_params: dict | None = None):
+    """Score one shard; returns GLOBAL doc ids + scores (top-k local).
 
-    width = view.doc_hi - view.doc_lo
-    if width <= 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-    scores = np.zeros(width, dtype=np.float32)
-    touched = np.zeros(width, dtype=bool)
-    n_global = view.n_docs
-    for term, qtf in keywords:
-        tp = view.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        if scorer == "bm25":
-            idf = math.log((n_global - tp.df + 0.5) / (tp.df + 0.5))
-            qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
-            doc_term = 1 - params.b + params.b * (dls / view.avgdl)
-            contrib = (idf * (tfs * (params.k1 + 1)) / (tfs + params.k1 * doc_term) * qterm).astype(np.float32)
-        elif scorer == "tfidf":
-            idf = math.log(n_global // tp.df)
-            contrib = (np.log1p(tfs) * idf).astype(np.float32)
-        elif scorer == "bm25adpt":
-            from .scoring import adpt_contrib
-
-            k1, ig1 = adpt_params[term]  # broadcast phase-1 result
-            cds = (tfs / (1 - params.b + params.b * dls / view.avgdl)).astype(np.float32)
-            contrib = adpt_contrib(cds, qtf, k1, ig1)
-        else:
-            raise ValueError(f"unknown sharded scorer {scorer!r}")
-        scores[ids] = scores[ids] + contrib
-        touched[ids] = True
-    if view.deleted_local is not None:
-        touched[view.deleted_local] = False
-    cand = np.flatnonzero(touched)
-    if len(cand) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
-    s = scores[cand]
-    order = np.lexsort((cand, -s.astype(np.float64)))[:k]
-    return cand[order] + view.doc_lo, s[order]
-
-
-def _shard_scores_daat(view: _ShardIndexView, keywords, params: BM25Params, k: int,
-                       method: str, kind: str):
-    """Per-shard dynamic pruning: WAND or MaxScore over the shard view's
-    block-skipping cursors (block-max metadata travels with the shard).
-    The shard-local top-k contains every global-top-k doc of this shard —
-    per-shard pruning composes exactly with the global merge (tested
-    bit-identical to the sharded TAAT path).  Bounds are never stale here:
-    the scorer params come from the index's own stats.json."""
-    from .scoring import maxscore_topk, wand_topk
+    method="maxscore" prunes over the shard view's block-skipping cursors
+    (block metadata travels with the shard).  The shard-local top-k
+    contains every global-top-k doc of this shard, so per-shard pruning
+    composes exactly with the global merge (tested bit-identical to the
+    sharded TAAT path).  Bounds are never stale here: the scorer params
+    come from the index's own stats.json."""
+    from .scoring import _taat, maxscore_topk
 
     width = view.doc_hi - view.doc_lo
     if width <= 0:
@@ -243,8 +202,10 @@ def _shard_scores_daat(view: _ShardIndexView, keywords, params: BM25Params, k: i
     if view.deleted_local is not None:
         exclude = np.zeros(width, dtype=bool)
         exclude[view.deleted_local] = True
-    fn = wand_topk if method == "wand" else maxscore_topk
-    ids, scores = fn(view, keywords, params, k, kind=kind, exclude=exclude)
+    if method == "maxscore":
+        ids, scores = maxscore_topk(view, keywords, params, k, kind=scorer, exclude=exclude)
+    else:
+        ids, scores = _taat(view, keywords, scorer, params, k, exclude, width, adpt_params)
     return ids + view.doc_lo, scores
 
 
@@ -254,7 +215,7 @@ class ShardScorer:
 
     def __init__(self, index_dir: str, topics, scorer: str = "bm25", k: int = 1000,
                  adpt_params: dict | None = None, method: str = "taat"):
-        if method not in ("taat", "wand", "maxscore"):
+        if method not in ("taat", "maxscore"):
             raise ValueError(f"unknown sharded method {method!r}")
         if method != "taat" and scorer not in ("bm25", "tfidf"):
             raise ValueError(
@@ -282,14 +243,10 @@ class ShardScorer:
                 view = _ShardIndexView(self.index_dir, shard, terms=self.term_set)
                 self._views[shard] = view
             for topic, keywords in self.topics:
-                if self.method != "taat":
-                    ids, scores = _shard_scores_daat(
-                        view, keywords, self.params, self.k, self.method, self.scorer
-                    )
-                else:
-                    ids, scores = _shard_scores(
-                        view, keywords, self.scorer, self.params, self.k, self.adpt_params
-                    )
+                ids, scores = _shard_scores(
+                    view, keywords, self.scorer, self.params, self.k, self.method,
+                    self.adpt_params,
+                )
                 rows["topic"].extend([topic] * len(ids))
                 rows["doc_id"].extend(ids.tolist())
                 rows["score"].extend(scores.tolist())
@@ -311,8 +268,8 @@ def search_topics_sharded(
     method: str = "taat",
 ) -> pa.Table:
     """Distributed doc-range-sharded scoring; returns (topic, doc_id, score,
-    rank) — bit-identical to whole-index TAAT (tested).  method="wand"/
-    "maxscore" prunes INSIDE each shard (bm25/tfidf): the union of
+    rank) — bit-identical to whole-index TAAT (tested).  method="maxscore"
+    prunes INSIDE each shard (bm25/tfidf): the union of
     shard-local top-k supersets the global top-k, so the merge result stays
     bit-identical while each shard decodes only surviving blocks."""
     import ray.data

@@ -15,8 +15,8 @@ can pick per workload.
 Design: ``TermShardedReader`` subclasses IndexReader with
 ``preload=False`` metadata (terms/df via the pruned dictionary read, docs
 table, stats) and overrides ONLY the posting fetches to route to a pool
-of ``TermShardActor``s.  Everything downstream — TAAT, block-max WAND,
-MaxScore, boolean ops, every registered scorer, tombstone masks — runs
+of ``TermShardActor``s.  Everything downstream — TAAT, MaxScore,
+boolean ops, every registered scorer, tombstone masks — runs
 UNCHANGED over the facade, which is what guarantees bit-identity.
 
 Ownership is ``md5(term) % n_shards`` (content hash, never Python's

@@ -1273,6 +1273,27 @@ def source_doc_count_prior(docs_ds, reader: IndexReader) -> np.ndarray:
 _MAXP_KEY_BASE = 1_000_000  # chunk_key = doc_id * base + chunk_id
 
 
+def _maxp_keyed(batch: pa.Table) -> pa.Table:
+    """Chunk rows -> (ck, cid, chunk_key, text) with the composite key
+    ``ck = doc_id * _MAXP_KEY_BASE + chunk_id``.  A chunk_id at or past the
+    base would alias another document's key, so it raises."""
+    chunk_ids = np.asarray(batch["chunk_id"], dtype=np.int64)
+    if len(chunk_ids) and int(chunk_ids.max()) >= _MAXP_KEY_BASE:
+        raise ValueError(
+            f"chunk_id {int(chunk_ids.max())} >= {_MAXP_KEY_BASE}: the MaxP key "
+            "doc_id * base + chunk_id would collide across documents"
+        )
+    keys = np.asarray(batch["doc_id"], dtype=np.int64) * _MAXP_KEY_BASE + chunk_ids
+    return pa.table(
+        {
+            "ck": pa.array(keys),
+            "cid": batch["chunk_id"],
+            "chunk_key": pa.array(keys).cast(pa.string()),
+            "text": batch["text"],
+        }
+    )
+
+
 def documents_maxp_index_dir(
     sf_dir: str,
     options: IndexOptions,
@@ -1291,8 +1312,6 @@ def documents_maxp_index_dir(
     index build's fragment plan — files in name order — sees the global
     (doc_id, chunk_id) order and chunk docIDs are deterministic WITHOUT
     any driver-side materialization of the chunk table."""
-    import pyarrow.compute as pc
-
     from .dataops.chunk import chunk_documents
     from .dataops.export import range_partition_export
     from .ioutil import read_parquet_clean
@@ -1305,27 +1324,13 @@ def documents_maxp_index_dir(
     chunks_dir = os.path.join(_CACHE_ROOT, f"docchunks-{key}")
     index_dir = os.path.join(_CACHE_ROOT, f"maxpidx-{key}")
 
-    def with_key(batch: pa.Table) -> pa.Table:
-        keys = (
-            np.asarray(batch["doc_id"], dtype=np.int64) * _MAXP_KEY_BASE
-            + np.asarray(batch["chunk_id"], dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "ck": pa.array(keys),
-                "cid": batch["chunk_id"],
-                "chunk_key": pc.cast(pa.array(keys), pa.string()),
-                "text": batch["text"],
-            }
-        )
-
     def build() -> None:
         def keyed():
             return chunk_documents(
                 read_parquet_clean(src, columns=["doc_id", "text"]),
                 chunk_tokens=chunk_tokens,
                 overlap=overlap,
-            ).map_batches(with_key, batch_format="pyarrow")
+            ).map_batches(_maxp_keyed, batch_format="pyarrow")
 
         # split points from the key's known structure (doc_id * base):
         # a streaming max pass, no quantile shuffle over a near-unique key

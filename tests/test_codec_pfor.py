@@ -141,7 +141,7 @@ def test_search_bit_identical_vbyte_vs_pfor(twin_indexes, ray_session):
     _, dirs = twin_indexes
     topics = _topics(dirs["vbyte"])
     for scorer in ("bm25", "tfidf"):
-        for method in ("taat", "wand", "maxscore"):
+        for method in ("taat", "maxscore"):
             a = search_topics(dirs["vbyte"], topics, scorer=scorer, k=30, method=method)
             b = search_topics(dirs["pfor"], topics, scorer=scorer, k=30, method=method)
             assert a.equals(b), (scorer, method)

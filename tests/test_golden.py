@@ -62,7 +62,7 @@ def test_golden_runs(oracle):
 
 
 def test_engine_reproduces_golden_runs(oracle, ray_session, tmp_path):
-    """Full Ray pipeline (html -> index -> WAND/TAAT) vs the golden runs."""
+    """Full Ray pipeline (html -> index -> MaxScore/TAAT) vs the golden runs."""
     import pyarrow.parquet as pq
 
     from search_engine_ray.engine.build import build_index
@@ -83,13 +83,13 @@ def test_engine_reproduces_golden_runs(oracle, ray_session, tmp_path):
     topics = parse_topics(
         os.path.join(GOLDEN_DIR, "topics.txt"), QueryOptions(use_title=True), OPTS
     )
-    # "auto" covers the production path; the extra forced-"wand" bm25 pass
-    # golden-pins the stemmed WAND traversal itself (VERDICT r2 item 8)
+    # "auto" covers the production path; the extra forced-"maxscore" bm25
+    # pass golden-pins the stemmed pruning traversal itself
     cases = (
         ("bm25", "BM25", "auto"),
         ("tfidf", "TfIdf", "auto"),
         ("bm25adpt", "BM25ADPT", "auto"),
-        ("bm25", "BM25", "wand"),
+        ("bm25", "BM25", "maxscore"),
     )
     for scorer, golden_name, method in cases:
         expected = open(os.path.join(GOLDEN_DIR, f"run-{golden_name}.txt")).read().splitlines()

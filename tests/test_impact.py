@@ -7,6 +7,8 @@ DuckDB oracle conformance of the same tier runs in test_entry_contract
 via the saat_top10 / saat_anytime_top10 gates.
 """
 
+import datetime
+import os
 import shutil
 
 import numpy as np
@@ -17,7 +19,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from search_engine_ray.config import BuildConfig
-from search_engine_ray.corpus.pages import write_pages_parquet
+from search_engine_ray.corpus.pages import PAGES_SCHEMA, write_pages_parquet
 from search_engine_ray.engine.build import build_index
 from search_engine_ray.engine.impact import (
     build_impact_index,
@@ -189,20 +191,44 @@ def test_unknown_terms_dropped(built):
 @pytest.mark.parametrize("n_shards", [1, 3, 5])
 def test_sharded_bit_identical(built, n_shards):
     """Doc-range-sharded SAAT == single-process SAAT, exhaustively and
-    under an anytime budget, for any shard count."""
+    under an anytime budget, for any shard count, with and without a
+    tombstone mask."""
     from search_engine_ray.engine.impact import saat_topk_sharded
 
     index, impact = built
     qs, _ = _brute_quantized(index, Q)
-    kws = [(t, 1) for t in list(qs)[:4]]
-    total = sum(len(qs[t][0]) for t, _ in kws)
-    for budget in (None, total // 2):
-        a = saat_topk(impact, kws, k=10, budget=budget)
+    n_docs = read_impact_meta(impact)["n_docs"]
+    rare = [(t, 1) for t in list(qs)[:4]]
+    head = [(t, 1) for t in sorted(qs, key=lambda t: (-len(qs[t][0]), t))[:4]]
+
+    def half(kws):
+        return sum(len(qs[t][0]) for t, _ in kws) // 2
+
+    def mask_of(kws):
+        mask = np.zeros(n_docs, dtype=bool)
+        mask[saat_topk(impact, kws, k=10)[0][:3]] = True  # the current top 3 ...
+        mask[::7] = True  # ... and docs spread over every shard
+        return mask
+
+    cases = [
+        (rare, None, None),
+        (rare, half(rare), None),
+        (rare, None, mask_of(rare)),  # every match masked: all shards empty
+        (head, None, mask_of(head)),
+        (head, half(head), mask_of(head)),
+    ]
+    masked_hits = 0
+    for kws, budget, exclude in cases:
+        a = saat_topk(impact, kws, k=10, budget=budget, exclude=exclude)
         b = saat_topk_sharded(
-            impact, kws, k=10, budget=budget, n_shards=n_shards)
-        assert np.array_equal(a[0], b[0]), (budget, n_shards)
+            impact, kws, k=10, budget=budget, n_shards=n_shards, exclude=exclude)
+        assert np.array_equal(a[0], b[0]), (kws, budget, exclude is None)
         assert np.array_equal(a[1], b[1])
         assert a[2] == b[2]
+        if exclude is not None:
+            assert not exclude[b[0]].any()
+            masked_hits += len(b[0])
+    assert masked_hits > 0
 
 
 def test_exclude_mask(built):
@@ -219,6 +245,28 @@ def test_exclude_mask(built):
     got_ids, _s2, _p2 = saat_topk(impact, kws, k=5, exclude=mask)
     assert base_ids[0] not in got_ids
     assert got_ids[0] == base_ids[1]  # rest of the ranking shifts up
+
+
+def test_empty_postings_give_empty_tier(ray_session, tmp_path):
+    """An index with no postings (every token a stopword) builds an empty,
+    valid tier, and SAAT over it returns empty arrays."""
+    corpus, index, impact = (str(tmp_path / d) for d in ("corpus", "index", "impact"))
+    n = 3
+    pages = pa.table({
+        "url": [f"http://example.com/{i}" for i in range(n)],
+        "warc_ts": pa.array([datetime.datetime(2020, 1, 1)] * n, pa.timestamp("us")),
+        "html": [b"<html><body>the of and</body></html>"] * n,
+        "text": ["the of and"] * n,
+        "lang": ["en"] * n,
+    }, schema=PAGES_SCHEMA)
+    os.makedirs(corpus)
+    pq.write_table(pages, f"{corpus}/pages.parquet")
+    build_index(corpus, index, BuildConfig(), overwrite=True)
+    build_impact_index(index, impact, quant_levels=Q)
+    meta = read_impact_meta(impact)
+    assert (meta["n_docs"], meta["n_segments"], meta["n_postings"]) == (n, 0, 0)
+    ids, sc, processed = saat_topk(impact, [("the", 1), ("spark", 1)], k=10)
+    assert len(ids) == 0 and len(sc) == 0 and processed == 0
 
 
 def test_impact_fsck_clean_and_corrupt(built, tmp_path):

@@ -1,5 +1,5 @@
 """Tombstone deletes (engine/maintenance.py): query-time exclusion with
-unchanged survivor scores, WAND fallback discipline, idempotent union,
+unchanged survivor scores, MaxScore exactness, idempotent union,
 clear, and CLI surface."""
 
 import os
@@ -93,12 +93,12 @@ def test_synonym_and_conjunctive_honor_tombstones(index_dir):
     assert not {str(r.doc_names[d]) for d in c_ids} & set(victims)
 
 
-def test_wand_exact_under_tombstones(index_dir):
-    """WAND with tombstones is EXACT: dead docs dropped at window eval,
+def test_maxscore_exact_under_tombstones(index_dir):
+    """MaxScore with tombstones is EXACT: dead docs dropped at window eval,
     bounds stay conservative — bit-identical to TAAT with the same mask
     at every k, for bm25 and tfidf."""
     kws = _kws(index_dir)
-    work = f"{BASE}/idx_wand"
+    work = f"{BASE}/idx_maxscore"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(index_dir, work)
     r0 = IndexReader(index_dir)
@@ -108,12 +108,11 @@ def test_wand_exact_under_tombstones(index_dir):
     r = IndexReader(work)
     for scorer in ("bm25", "tfidf"):
         for k in (1, 3, 20, 1000):
-            for method in ("wand", "maxscore"):
-                w_ids, w_scores = score_topic(r, kws, scorer=scorer, k=k, method=method)
-                t_ids, t_scores = score_topic(r, kws, scorer=scorer, k=k, method="taat")
-                assert w_ids.tolist() == t_ids.tolist(), (scorer, k, method)
-                np.testing.assert_array_equal(w_scores, t_scores)
-                assert not {str(r.doc_names[d]) for d in w_ids} & set(victims)
+            m_ids, m_scores = score_topic(r, kws, scorer=scorer, k=k, method="maxscore")
+            t_ids, t_scores = score_topic(r, kws, scorer=scorer, k=k, method="taat")
+            assert m_ids.tolist() == t_ids.tolist(), (scorer, k)
+            np.testing.assert_array_equal(m_scores, t_scores)
+            assert not {str(r.doc_names[d]) for d in m_ids} & set(victims)
     # auto also excludes
     a_ids, a_scores = score_topic(r, kws, scorer="bm25", k=20, method="auto")
     t_ids, t_scores = score_topic(r, kws, scorer="bm25", k=20, method="taat")
@@ -176,20 +175,19 @@ def test_sharded_search_respects_tombstones(index_dir, ray_session):
             sharded["score"].to_numpy(), local_scores.astype(np.float32)
         )
         assert set(str(r.doc_names[d]) for d in sharded["doc_id"]).isdisjoint(victims)
-    # per-shard DAAT pruning composes with tombstones the same way
-    for method in ("wand", "maxscore"):
-        pruned = search_topics_sharded(work, topics, scorer="bm25", k=20, method=method).to_pandas()
-        local_ids, local_scores = score_topic(r, kws, scorer="bm25", k=20)
-        assert pruned["doc_id"].tolist() == local_ids.tolist(), method
-        np.testing.assert_array_equal(
-            pruned["score"].to_numpy(), local_scores.astype(np.float32)
-        )
+    # per-shard MaxScore pruning composes with tombstones the same way
+    pruned = search_topics_sharded(work, topics, scorer="bm25", k=20, method="maxscore").to_pandas()
+    local_ids, local_scores = score_topic(r, kws, scorer="bm25", k=20)
+    assert pruned["doc_id"].tolist() == local_ids.tolist()
+    np.testing.assert_array_equal(
+        pruned["score"].to_numpy(), local_scores.astype(np.float32)
+    )
 
 
 def test_compact_equals_fresh_build(index_dir, ray_session):
     """Compaction == fresh build over the retained corpus: identical
     stats, terms table, decoded per-term postings, and bit-identical
-    rankings; WAND is valid again afterwards."""
+    rankings; MaxScore is valid again afterwards."""
     import pyarrow as pa
 
     from search_engine_ray.engine.maintenance import compact_index
@@ -249,12 +247,12 @@ def test_compact_equals_fresh_build(index_dir, ray_session):
         f_ids, f_scores = score_topic(rf, kws, scorer=scorer, k=30, method="taat")
         np.testing.assert_array_equal(c_ids, f_ids)
         np.testing.assert_array_equal(c_scores, f_scores)
-    # tombstones gone; WAND valid and identical to TAAT on the compacted index
+    # tombstones gone; MaxScore valid and identical to TAAT on the compacted index
     assert rc.deleted_mask() is None
-    w_ids, w_scores = score_topic(rc, kws, scorer="bm25", k=30, method="wand")
+    p_ids, p_scores = score_topic(rc, kws, scorer="bm25", k=30, method="maxscore")
     t_ids, t_scores = score_topic(rc, kws, scorer="bm25", k=30, method="taat")
-    np.testing.assert_array_equal(w_ids, t_ids)
-    np.testing.assert_array_equal(w_scores, t_scores)
+    np.testing.assert_array_equal(p_ids, t_ids)
+    np.testing.assert_array_equal(p_scores, t_scores)
 
 
 def test_compact_noop_without_tombstones(index_dir, ray_session):
@@ -276,7 +274,7 @@ def test_compact_noop_without_tombstones(index_dir, ray_session):
 def test_merge_indexes_equals_full_build(index_dir, ray_session):
     """merge(A, B) == fresh build over the concatenated corpus: stats,
     df, decoded per-term postings, and bit-identical scores for all
-    three scorers; WAND valid on the merged index."""
+    three scorers; MaxScore valid on the merged index."""
     import pyarrow as pa
     import pyarrow.dataset as pads
 
@@ -320,10 +318,10 @@ def test_merge_indexes_equals_full_build(index_dir, ray_session):
         f_ids, f_scores = score_topic(rf, kws, scorer=scorer, k=30, method="taat")
         np.testing.assert_array_equal(m_ids, f_ids)
         np.testing.assert_array_equal(m_scores, f_scores)
-    w_ids, w_scores = score_topic(rm_, kws, scorer="bm25", k=30, method="wand")
+    p_ids, p_scores = score_topic(rm_, kws, scorer="bm25", k=30, method="maxscore")
     t_ids, t_scores = score_topic(rm_, kws, scorer="bm25", k=30, method="taat")
-    np.testing.assert_array_equal(w_ids, t_ids)
-    np.testing.assert_array_equal(w_scores, t_scores)
+    np.testing.assert_array_equal(p_ids, t_ids)
+    np.testing.assert_array_equal(p_scores, t_scores)
 
 
 def test_merge_indexes_rejects_mismatched_options(index_dir, ray_session):

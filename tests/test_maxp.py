@@ -16,6 +16,7 @@ from search_engine_ray.config import IndexOptions
 from search_engine_ray.engine.index_reader import IndexReader
 from search_engine_ray.pipelines import (
     _MAXP_KEY_BASE,
+    _maxp_keyed,
     bm25_scores_f64,
     documents_maxp_index_dir,
     maxp_bm25_f64,
@@ -115,3 +116,20 @@ def test_chunk_names_compose(built):
     for nm in reader.doc_names[:20]:
         v = int(nm)
         assert v // _MAXP_KEY_BASE >= 0 and v % _MAXP_KEY_BASE >= 0
+
+
+def test_maxp_key_rejects_colliding_chunk_id():
+    """doc_id * base + chunk_id is unique only while chunk_id < base: one
+    batch at the edge keys fine, one past it raises."""
+    def batch(chunk_ids):
+        return pa.table({
+            "doc_id": pa.array([7] * len(chunk_ids), pa.int64()),
+            "chunk_id": pa.array(chunk_ids, pa.int64()),
+            "text": pa.array(["t"] * len(chunk_ids)),
+        })
+
+    ok = _maxp_keyed(batch([0, _MAXP_KEY_BASE - 1]))
+    assert ok["ck"].to_pylist() == [7 * _MAXP_KEY_BASE, 8 * _MAXP_KEY_BASE - 1]
+    assert ok["chunk_key"].to_pylist() == [str(v) for v in ok["ck"].to_pylist()]
+    with pytest.raises(ValueError, match="collide"):
+        _maxp_keyed(batch([0, _MAXP_KEY_BASE]))

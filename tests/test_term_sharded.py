@@ -44,8 +44,8 @@ def test_bit_identical_all_scorers_methods(index_dir, ray_session):
     base = IndexReader(index_dir)
     sharded = TermShardedReader(index_dir, n_shards=3)
     for scorer, methods in (
-        ("bm25", ("taat", "wand", "maxscore")),
-        ("tfidf", ("taat", "wand", "maxscore")),
+        ("bm25", ("taat", "maxscore")),
+        ("tfidf", ("taat", "maxscore")),
         ("bm25adpt", ("taat",)),
         ("lmd", ("taat",)),
     ):
