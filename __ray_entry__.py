@@ -5818,22 +5818,32 @@ def q_bm25_merged_top10(sf_dir: str) -> pa.Table:
 
 
 def q_bm25_term_sharded_top10(sf_dir: str) -> pa.Table:
-    """Term-partitioned retrieval (engine/term_sharded.py): posting
-    fetches route to vocabulary-shard actors (md5(term) % n_shards
-    ownership); scoring is the unchanged single-reader kernel, so
-    results are bit-identical by construction — self-checked here
-    against the plain reader before returning; the oracle is the
-    full-corpus BM25 SQL (the bm25_top10 oracle verbatim)."""
-    from search_engine_ray.engine.term_sharded import TermShardedReader
+    """Distributed retrieval over the doc-range shards
+    (engine/sharded_search.search_topics_sharded).  The name is historical:
+    the gate once ran a term-partitioned reader, removed because it only
+    duplicated this path, and gate results are keyed by name.
+    The callable RAISES unless the sharded ids and float32 scores equal
+    score_topic on the single reader, then returns the full-corpus float64
+    BM25 top-10 (the bm25_top10 oracle verbatim)."""
+    from search_engine_ray.engine.search import score_topic
+    from search_engine_ray.engine.sharded_search import search_topics_sharded
     from search_engine_ray.pipelines import bm25_scores_f64, documents_index_dir
 
     r = _reader(sf_dir)
-    sharded = TermShardedReader(documents_index_dir(sf_dir, OPT_NOSTEM), n_shards=3)
-    ids, scores = bm25_scores_f64(sharded, BM25_QUERY)
-    fids, fscores = bm25_scores_f64(r, BM25_QUERY)
-    assert ids.tolist() == fids.tolist() and scores.tolist() == fscores.tolist(), (
-        "term-sharded != single-reader scores"
+    k = 10
+    sharded = search_topics_sharded(
+        documents_index_dir(sf_dir, OPT_NOSTEM), [(1, BM25_QUERY)], scorer="bm25", k=k
     )
+    s_ids, s_scores = score_topic(r, BM25_QUERY, scorer="bm25", k=k)
+    if not (
+        sharded["doc_id"].to_pylist() == s_ids.tolist()
+        and np.array_equal(sharded["score"].to_numpy(), s_scores.astype(np.float32))
+    ):
+        raise AssertionError(
+            f"doc-range-sharded != single-reader: {sharded['doc_id'].to_pylist()} "
+            f"vs {s_ids.tolist()}"
+        )
+    ids, scores = bm25_scores_f64(r, BM25_QUERY)
     ids, scores = ids[:10], scores[:10]
     doc_ids = np.asarray([int(r.doc_names[d]) for d in ids], dtype=np.int64)
     return pa.table(

@@ -150,11 +150,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     for scorer in args.scorers.split(","):
         if args.sharded:
             run = _sharded_run(args.index_dir, topics, scorer, args.run_name, args.k)
-        elif getattr(args, "term_shards", 0):
-            run = _term_sharded_run(
-                args.index_dir, topics, scorer, args.run_name, args.k,
-                args.term_shards,
-            )
         else:
             run = search_topics(
                 args.index_dir, topics, scorer=scorer, run_name=args.run_name, k=args.k
@@ -165,40 +160,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         write_trec_run(run, out)
         print(f"{scorer}: {run.num_rows} result lines -> {out}")
     return 0
-
-
-def _term_sharded_run(
-    index_dir: str, topics, scorer: str, run_name: str, k: int, n_shards: int
-):
-    """TREC run table via the term-partitioned path (engine/term_sharded.py:
-    vocabulary-shard actors serve posting fetches to the unchanged scoring
-    kernel; bit-identical to the single-reader run)."""
-    import pyarrow as pa
-
-    from .engine.search import score_topic
-    from .engine.term_sharded import TermShardedReader
-
-    reader = TermShardedReader(index_dir, n_shards=n_shards)
-    rows = {"topic": [], "q0": [], "doc": [], "rank": [], "score": [], "run_name": []}
-    for topic_id, kws in topics:
-        ids, scores = score_topic(reader, kws, scorer=scorer, k=k)
-        for rank, (d, sc) in enumerate(zip(ids, scores), start=1):
-            rows["topic"].append(topic_id)
-            rows["q0"].append("Q0")
-            rows["doc"].append(str(reader.doc_names[d]))
-            rows["rank"].append(rank)
-            rows["score"].append(float(sc))
-            rows["run_name"].append(run_name)
-    return pa.table(
-        {
-            "topic": pa.array(rows["topic"], pa.int64()),
-            "q0": pa.array(rows["q0"], pa.string()),
-            "doc": pa.array(rows["doc"], pa.string()),
-            "rank": pa.array(rows["rank"], pa.int32()),
-            "score": pa.array(rows["score"], pa.float64()),
-            "run_name": pa.array(rows["run_name"], pa.string()),
-        }
-    )
 
 
 def _sharded_run(index_dir: str, topics, scorer: str, run_name: str, k: int):
@@ -538,13 +499,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 0
     if args.explain:
         # Lucene-style explain: per-term BM25 contribution breakdown for one
-        # document, computed with the SAME float32 expression as the TAAT
-        # scorer so the total matches the ranked score bit-for-bit.
-        import math as _math
-
+        # document, computed by the scorers' own float32 term kernel so the
+        # total matches the ranked score bit-for-bit.
         import numpy as _np
 
         from .config import BM25Params
+        from .engine.scoring import _TermWeight
 
         doc = reader.doc_id_of(args.explain)
         if doc < 0:
@@ -568,18 +528,13 @@ def cmd_query(args: argparse.Namespace) -> int:
                 if pos >= len(ids) or ids[pos] != doc:
                     row.update({"matched": False, "df": tp.df, "reason": "term not in doc"})
                 else:
-                    tf, dl = float(tfs[pos]), float(dls[pos])
-                    idf = _math.log((n - tp.df + 0.5) / (tp.df + 0.5))
-                    qterm = ((params.k3 + 1) * qtf) / (params.k3 + qtf)
-                    contrib = _np.float32(
-                        idf * (tf * (params.k1 + 1))
-                        / (tf + params.k1 * (1 - params.b + params.b * (dl / avgdl)))
-                        * qterm
-                    )
+                    w = _TermWeight("bm25", n, tp.df, qtf, params, avgdl)
+                    contrib = w.contrib(tfs[pos:pos + 1], dls[pos:pos + 1])[0]
                     total = _np.float32(total + contrib)
                     row.update({
-                        "matched": True, "df": tp.df, "tf": int(tf), "doc_len": int(dl),
-                        "idf": idf, "query_weight": qterm, "contribution": float(contrib),
+                        "matched": True, "df": tp.df, "tf": int(tfs[pos]),
+                        "doc_len": int(dls[pos]), "idf": w.idf, "query_weight": w.qterm,
+                        "contribution": float(contrib),
                     })
             print(_json.dumps(row))
         print(_json.dumps({
@@ -1375,11 +1330,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sharded", action="store_true",
         help="score via the doc-range-sharded path (bit-identical results; "
              "the web-scale route where no node holds the whole index)",
-    )
-    ps.add_argument(
-        "--term-shards", type=int, default=0, metavar="N",
-        help="score via the term-partitioned path with N vocabulary-shard "
-             "actors (bit-identical results; the low-fan-out serving route)",
     )
     ps.set_defaults(fn=cmd_search)
 

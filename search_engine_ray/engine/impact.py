@@ -79,6 +79,7 @@ import ray
 import ray.data
 
 from .codec import decode_cells, decode_concat_rows, encode_rows
+from .sharded_search import _topk_table, merge_topk, run_shards
 
 _POSTING_COLS = ["term", "n", "docs_enc", "tfs_enc", "dls_enc"]
 
@@ -267,6 +268,94 @@ def read_impact_meta(impact_dir: str) -> dict:
         return json.load(f)
 
 
+_SEG_COLS = ["term", "q", "n", "docs_enc"]
+
+
+def _qtf_map(keywords: list[tuple[str, int]]) -> dict[str, int]:
+    qtf: dict[str, int] = {}
+    for term, n in keywords:
+        qtf[term] = qtf.get(term, 0) + n
+    return qtf
+
+
+def _admitted_segments(
+    impact_dir: str, meta: dict, terms: list[str], budget: int | None
+) -> tuple[pa.Table, int]:
+    """Load the query terms' segments and apply the global anytime rule;
+    -> (admitted segments in processing order, postings admitted).
+
+    Only the query terms' bucket files are opened (O(#query-terms) file
+    opens); the (term, q)-sorted row groups prune the in-file scan.
+    Segments are processed in (q desc, term asc) order and admitted while
+    the cumulative posting count stays <= budget — a deterministic prefix
+    the DuckDB oracle reproduces with a window cumsum."""
+    from .merge import term_bucket_array
+
+    t_arr = pa.array(sorted(set(terms)), pa.string())
+    buckets = sorted(set(term_bucket_array(t_arr, meta["num_buckets"]).to_pylist()))
+    parts = []
+    for bno in buckets:
+        path = os.path.join(impact_dir, "segments", f"bucket={bno}", "part.parquet")
+        if os.path.exists(path):
+            parts.append(
+                pq.read_table(path, columns=_SEG_COLS, filters=pc.field("term").isin(t_arr))
+            )
+    if not parts:
+        return pa.table({
+            "term": pa.array([], pa.string()), "q": pa.array([], pa.int64()),
+            "n": pa.array([], pa.int64()), "docs_enc": pa.array([], pa.binary()),
+        }), 0
+    seg = pa.concat_tables(parts)
+    qs = np.asarray(seg["q"], dtype=np.int64)
+    terms_col = seg["term"].to_pylist()
+    order = sorted(range(seg.num_rows), key=lambda i: (-qs[i], terms_col[i]))
+    lens = np.asarray(seg["n"], dtype=np.int64)[order]
+    n_adm = len(order)
+    if budget is not None:
+        n_adm = int(np.searchsorted(np.cumsum(lens), budget, side="right"))
+    return seg.take(pa.array(order[:n_adm], pa.int64())), int(lens[:n_adm].sum())
+
+
+def _saat_range(
+    adm: pa.Table, qtf: dict[str, int], lo: int, hi: int,
+    exclude: np.ndarray | None, doc_key: np.ndarray | None, k: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one SAAT accumulation kernel, over the docID range [lo, hi):
+    each admitted segment adds ``q * qtf`` to the integer accumulators of
+    its docs in range (segments are docID-ascending, so the range slice is
+    two searchsorted probes), tombstoned docs (``exclude``, a global mask)
+    drop out, and the local top-``k`` is taken by (score desc, tie asc),
+    tie = ``doc_key[doc]`` when given (a caller-stable numeric key — the
+    SQL oracle's doc_id order), else the docID.  The whole index is the
+    range [0, n_docs).  -> (global doc ids, int64 scores)."""
+    width = hi - lo
+    if width <= 0 or adm.num_rows == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    lens = np.asarray(adm["n"], dtype=np.int64)
+    ids = decode_concat_rows(adm["docs_enc"], lens, delta=True)
+    ends = np.cumsum(lens)
+    weights = np.asarray(adm["q"], dtype=np.int64) * np.asarray(
+        [qtf[t] for t in adm["term"].to_pylist()], dtype=np.int64)
+    scores = np.zeros(width, dtype=np.int64)
+    touched = np.zeros(width, dtype=bool)
+    for end, n, w in zip(ends.tolist(), lens.tolist(), weights.tolist()):
+        seg = ids[end - n:end]
+        a, b = np.searchsorted(seg, (lo, hi))
+        if a == b:
+            continue
+        local = seg[a:b] - lo
+        scores[local] += w
+        touched[local] = True
+    if exclude is not None:
+        touched &= ~exclude[lo:hi]
+    cand = np.flatnonzero(touched)
+    docs = cand + lo
+    sel = np.lexsort((docs if doc_key is None else doc_key[docs], -scores[cand]))
+    if k is not None:
+        sel = sel[:k]
+    return docs[sel], scores[cand[sel]]
+
+
 def saat_topk(
     impact_dir: str, keywords: list[tuple[str, int]], k: int | None = 10,
     budget: int | None = None, doc_key: np.ndarray | None = None,
@@ -288,98 +377,30 @@ def saat_topk(
     -> (doc_ids, scores, postings_processed); ranking (score desc, doc
     asc), ties broken like every other scorer in the engine.
     """
-    from .merge import term_bucket_array
-
     meta = read_impact_meta(impact_dir)
-    qtf_map: dict[str, int] = {}
-    for term, qtf in keywords:
-        qtf_map[term] = qtf_map.get(term, 0) + qtf
-    terms = sorted(qtf_map)
-    # open ONLY the query terms' bucket files; the (term, q)-sorted row
-    # groups prune the in-file scan
-    t_arr = pa.array(terms, pa.string())
-    buckets = sorted(set(term_bucket_array(t_arr, meta["num_buckets"]).to_pylist()))
-    parts = []
-    for bno in buckets:
-        path = os.path.join(impact_dir, "segments", f"bucket={bno}", "part.parquet")
-        if not os.path.exists(path):
-            continue
-        parts.append(
-            pq.read_table(
-                path, columns=["term", "q", "n", "docs_enc"],
-                filters=pc.field("term").isin(t_arr),
-            )
-        )
-    if not parts:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    seg = pa.concat_tables(parts)
-    if seg.num_rows == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), 0
-    qs = np.asarray(seg["q"], dtype=np.int64)
-    terms_col = seg["term"].to_pylist()
-    order = sorted(range(seg.num_rows), key=lambda i: (-qs[i], terms_col[i]))
-    scores = np.zeros(meta["n_docs"], dtype=np.int64)
-    touched = np.zeros(meta["n_docs"], dtype=bool)
-    processed = 0
-    lens = np.asarray(seg["n"], dtype=np.int64)
-    for i in order:
-        if budget is not None and processed + int(lens[i]) > budget:
-            break
-        ids = decode_concat_rows(seg["docs_enc"].slice(i, 1), lens[i : i + 1], delta=True)
-        scores[ids] += int(qs[i]) * qtf_map[terms_col[i]]
-        touched[ids] = True
-        processed += int(lens[i])
-    if exclude is not None:
-        touched &= ~exclude
-    cand = np.flatnonzero(touched)
-    if len(cand) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), processed
-    # ties on doc_key when given (a caller-stable numeric key — the SQL
-    # oracle's doc_id order), else on the internal ordinal
-    tie = cand if doc_key is None else doc_key[cand]
-    sel = np.lexsort((tie, -scores[cand]))
-    if k is not None:
-        sel = sel[:k]
-    top = cand[sel]
-    return top, scores[top], processed
+    qtf = _qtf_map(keywords)
+    adm, processed = _admitted_segments(impact_dir, meta, list(qtf), budget)
+    ids, scores = _saat_range(adm, qtf, 0, meta["n_docs"], exclude, doc_key, k)
+    return ids, scores, processed
 
 
-def _admitted_segments(
-    impact_dir: str, terms: list[str], budget: int | None
-) -> tuple[pa.Table, list[int], int]:
-    """Load the query terms' segments (bucket-pruned) and apply the global
-    anytime rule; -> (segment table, admitted row indices in processing
-    order, postings admitted).  Metadata-sized except docs_enc payloads,
-    which at web scale would live in a columns= pruned second read."""
-    from .merge import term_bucket_array
+class ShardSaat:
+    """Actor stage of doc-range-sharded SAAT: ``payload`` is ONE object-store
+    ref to (admitted segments, qtf map, exclude, doc_key, k), fetched once
+    per actor; every [lo, hi) shard handed in runs :func:`_saat_range`."""
 
-    meta = read_impact_meta(impact_dir)
-    t_arr = pa.array(sorted(set(terms)), pa.string())
-    buckets = sorted(set(term_bucket_array(t_arr, meta["num_buckets"]).to_pylist()))
-    parts = []
-    for bno in buckets:
-        path = os.path.join(impact_dir, "segments", f"bucket={bno}", "part.parquet")
-        if os.path.exists(path):
-            parts.append(
-                pq.read_table(
-                    path, columns=["term", "q", "n", "docs_enc"],
-                    filters=pc.field("term").isin(t_arr),
-                )
-            )
-    if not parts:
-        return pa.table({"term": pa.array([], pa.string())}), [], 0
-    seg = pa.concat_tables(parts)
-    qs = np.asarray(seg["q"], dtype=np.int64)
-    terms_col = seg["term"].to_pylist()
-    lens = np.asarray(seg["n"], dtype=np.int64)
-    order = sorted(range(seg.num_rows), key=lambda i: (-qs[i], terms_col[i]))
-    admitted, processed = [], 0
-    for i in order:
-        if budget is not None and processed + int(lens[i]) > budget:
-            break
-        admitted.append(i)
-        processed += int(lens[i])
-    return seg, admitted, processed
+    def __init__(self, payload):
+        self.adm, self.qtf, self.exclude, self.doc_key, self.k = ray.get(payload)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        topic, doc_id, score = [], [], []
+        for lo, hi in zip(batch["lo"].to_pylist(), batch["hi"].to_pylist()):
+            ids, scores = _saat_range(
+                self.adm, self.qtf, lo, hi, self.exclude, self.doc_key, self.k)
+            topic.append(np.zeros(len(ids), np.int32))
+            doc_id.append(ids)
+            score.append(scores)
+        return _topk_table(topic, doc_id, score, np.int64)
 
 
 def saat_topk_sharded(
@@ -394,108 +415,35 @@ def saat_topk_sharded(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Doc-range-sharded SAAT — the tier's 10^12-doc serving path,
     bit-identical to :func:`saat_topk` (tested), tombstone ``exclude``
-    mask included: each shard drops its masked docs before its local
-    top-k.  The anytime admission
-    rule is applied ONCE, globally, from segment (term, q, n) metadata —
-    no payload decode — then each shard actor slices every admitted
-    segment to its docID range (segments are docID-ascending, so the
-    slice is two searchsorted probes), accumulates into a dense array of
-    its range's width only, and emits its local top-k.  The driver merges
-    k rows per shard — a reduction, not a score shuffle.  A document's
-    whole score lives in exactly one shard, so no partial-score
-    combination is ever needed and bit-identity is structural.
+    mask included.  The anytime admission rule is applied ONCE, globally,
+    from segment (term, q, n) metadata — no payload decode — then each
+    shard actor runs the same range kernel as :func:`saat_topk` over its
+    docID range and emits its local top-k, through the same dispatch and
+    driver merge as the BM25 shards (engine/sharded_search.py).  The
+    driver merges k rows per shard — a reduction, not a score shuffle.
+    A document's whole score lives in exactly one shard, so no
+    partial-score combination is ever needed and bit-identity is
+    structural.
     """
-    import ray.data
-
     meta = read_impact_meta(impact_dir)
-    qtf_map: dict[str, int] = {}
-    for term, qtf in keywords:
-        qtf_map[term] = qtf_map.get(term, 0) + qtf
-    seg, admitted, processed = _admitted_segments(
-        impact_dir, list(qtf_map), budget
+    qtf = _qtf_map(keywords)
+    adm, processed = _admitted_segments(impact_dir, meta, list(qtf), budget)
+    empty = np.empty(0, np.int64), np.empty(0, np.int64), processed
+    if adm.num_rows == 0:
+        return empty
+    bounds = np.linspace(0, meta["n_docs"], n_shards + 1).astype(np.int64).tolist()
+    shards = [{"lo": lo, "hi": hi} for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # ship only the admitted segments to the actors, decoded there
+    payload = ray.put((adm, qtf, exclude, doc_key, k))
+    rows = run_shards(ShardSaat, shards, concurrency, payload=payload)
+    if rows is None:  # every shard came back empty (e.g. all matches masked)
+        return empty
+    docs = np.asarray(rows["doc_id"], dtype=np.int64)
+    _topic, docs, scores, _rank = merge_topk(
+        np.asarray(rows["topic"]), docs, np.asarray(rows["score"], dtype=np.int64), k,
+        tie=None if doc_key is None else doc_key[docs],
     )
-    if not admitted:
-        return np.empty(0, np.int64), np.empty(0, np.int64), processed
-    n_docs = meta["n_docs"]
-    bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
-    # ship only the admitted segments to the actors, decoded lazily there
-    adm_tbl = seg.take(pa.array(admitted, pa.int64()))
-    adm_ref = ray.put(adm_tbl)
-    qtf_ref = ray.put(qtf_map)
-    key_ref = ray.put(doc_key)
-    exclude_ref = ray.put(exclude)
-
-    class ShardSaat:
-        def __init__(self):
-            self.adm: pa.Table = ray.get(adm_ref)
-            self.qtf: dict[str, int] = ray.get(qtf_ref)
-            self.key = ray.get(key_ref)
-            self.exclude = ray.get(exclude_ref)
-            self.lens = np.asarray(self.adm["n"], dtype=np.int64)
-            self.terms = self.adm["term"].to_pylist()
-            self.qs = np.asarray(self.adm["q"], dtype=np.int64)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out_d, out_s = [], []
-            for lo, hi in zip(
-                batch["lo"].to_pylist(), batch["hi"].to_pylist()
-            ):
-                width = hi - lo
-                if width <= 0:
-                    continue
-                scores = np.zeros(width, dtype=np.int64)
-                touched = np.zeros(width, dtype=bool)
-                for i in range(self.adm.num_rows):
-                    ids = decode_concat_rows(
-                        self.adm["docs_enc"].slice(i, 1),
-                        self.lens[i : i + 1], delta=True,
-                    )
-                    a, b = np.searchsorted(ids, (lo, hi))
-                    if a == b:
-                        continue
-                    local = ids[a:b] - lo
-                    scores[local] += int(self.qs[i]) * self.qtf[self.terms[i]]
-                    touched[local] = True
-                if self.exclude is not None:
-                    touched &= ~self.exclude[lo:hi]
-                cand = np.flatnonzero(touched)
-                if len(cand) == 0:
-                    continue
-                gids = cand + lo
-                tie = gids if self.key is None else self.key[gids]
-                sel = np.lexsort((tie, -scores[cand]))[:k]
-                out_d.append(gids[sel])
-                out_s.append(scores[cand][sel])
-            if not out_d:
-                return pa.table({
-                    "doc": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.int64()),
-                })
-            return pa.table({
-                "doc": pa.array(np.concatenate(out_d)),
-                "score": pa.array(np.concatenate(out_s)),
-            })
-
-    shard_ds = ray.data.from_items(
-        [{"lo": int(bounds[i]), "hi": int(bounds[i + 1])} for i in range(n_shards)]
-    )
-    batches = [
-        pa.table(b)
-        for b in shard_ds.map_batches(
-            ShardSaat, batch_size=1, batch_format="pyarrow",
-            concurrency=concurrency,
-        ).iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    if not batches:  # every shard came back empty (e.g. all matches masked)
-        return np.empty(0, np.int64), np.empty(0, np.int64), processed
-    rows = pa.concat_tables(batches)
-    docs = np.asarray(rows["doc"], dtype=np.int64)
-    scores = np.asarray(rows["score"], dtype=np.int64)
-    if len(docs) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), processed
-    tie = docs if doc_key is None else doc_key[docs]
-    sel = np.lexsort((tie, -scores))[:k]
-    return docs[sel], scores[sel], processed
+    return docs, scores, processed
 
 
 _VIOL_SENTINEL = "\x00struct"
@@ -510,9 +458,9 @@ def verify_impact_index(index_dir: str, impact_dir: str) -> dict:
     Scale shape: per-batch (term, q) -> (count, sum_ids, sum_ids^2)
     checksum partials from BOTH sides (postings re-derivation, segment
     decode; the actual side negated), ONE groupby((term, q)) sum — any
-    nonzero row is a divergence.  Checksums use wrapping int64 sums, so
-    nothing data-sized ever reaches the driver; the final reduce is
-    segment-metadata-sized.  Same role as engine/maintenance.fsck_index
+    nonzero row is a divergence.  Checksums use wrapping int64 sums, and
+    the zero rows are filtered out inside Ray, so the driver holds only
+    violations.  Same role as engine/maintenance.fsck_index
     for the document-ordered index.
     """
     from ray.data.aggregate import Sum
@@ -598,22 +546,30 @@ def verify_impact_index(index_dir: str, impact_dir: str) -> dict:
     ).map_batches(expected, batch_format="pyarrow")
     act_ds = ray.data.read_parquet(
         os.path.join(impact_dir, "segments"),
-        columns=["term", "q", "n", "docs_enc"],
+        columns=_SEG_COLS,
     ).map_batches(actual, batch_format="pyarrow")
-    agg = (
+    def nonzero(batch: pa.Table) -> pa.Table:
+        # the sentinel row's cnt is a positive violation count, so it stays
+        return batch.filter(pc.or_(
+            pc.or_(pc.not_equal(batch["cnt"], 0), pc.not_equal(batch["s1"], 0)),
+            pc.not_equal(batch["s2"], 0),
+        ))
+
+    # only divergent (term, q) rows and the sentinel reach the driver
+    bad = (
         exp_ds.union(act_ds)
         .groupby(["term", "q"])
         .aggregate(Sum("cnt", alias_name="cnt"),
                    Sum("s1", alias_name="s1"),
                    Sum("s2", alias_name="s2"))
+        .map_batches(nonzero, batch_format="pyarrow")
         .to_pandas()
     )
-    sent = agg["term"] == _VIOL_SENTINEL
-    struct_violations = int(agg.loc[sent, "cnt"].sum())
-    body = agg[~sent]
-    mismatched = int(
-        ((body["cnt"] != 0) | (body["s1"] != 0) | (body["s2"] != 0)).sum()
-    )
+    struct_violations = mismatched = 0
+    if len(bad):  # an empty dataset's to_pandas() has no columns at all
+        sent = bad["term"] == _VIOL_SENTINEL
+        struct_violations = int(bad.loc[sent, "cnt"].sum())
+        mismatched = int((~sent).sum())
     seg_meta = pads.dataset(os.path.join(impact_dir, "segments")).to_table(
         columns=["n"]
     )
@@ -652,9 +608,9 @@ def saat_rerank(
     ordering carries exact BM25 semantics.
 
     ``scores_fn(reader, keywords) -> (doc_ids, scores)`` is the exact
-    tier (default: pipelines.bm25_scores_f64); candidates the exact
-    scorer does not reach (possible only under pathological budgets)
-    keep their quantized score at the bottom of the ranking.
+    tier (default: pipelines.bm25_scores_f64, which scores every SAAT
+    candidate); candidates a custom exact tier does not score are
+    dropped from the result, so every returned score is an exact one.
 
     -> (doc_ids, rerank_scores_f64, postings_processed); ranking
     (exact score desc, doc asc) over the candidate set only.
@@ -671,9 +627,8 @@ def saat_rerank(
         return np.empty(0, np.int64), np.empty(0, np.float64), processed
     exact_ids, exact_scores = scores_fn(reader, keywords)
     score_of = dict(zip(exact_ids.tolist(), exact_scores.tolist()))
-    cand_scores = np.asarray(
-        [score_of.get(int(d), float("-inf")) for d in cand_ids], dtype=np.float64
-    )
+    cand_ids = np.asarray([d for d in cand_ids.tolist() if d in score_of], dtype=np.int64)
+    cand_scores = np.asarray([score_of[d] for d in cand_ids.tolist()], dtype=np.float64)
     tie = cand_ids if doc_key is None else doc_key[cand_ids]
     order = np.lexsort((tie, -cand_scores))[:k]
     return cand_ids[order], cand_scores[order], processed

@@ -17,9 +17,10 @@ document's postings all live in its own shard.  Consequences:
 - the global answer is a per-topic top-k merge over per-shard top-k rows —
   k rows per (topic, shard), a reduction, not a shuffle of scores.
 
-Dataflow: shard descriptors -> map_batches(ShardScorer actor, one per
-shard) emitting local top-k rows -> groupby(topic) -> top-k merge with
-ties broken by ascending docID.
+Dataflow: shard descriptors -> ``run_shards`` (one actor call per shard)
+emitting local top-k rows -> ``merge_topk`` on the driver, ties broken by
+ascending docID.  Doc-range-sharded SAAT (engine/impact.py) goes through
+the same dispatch and merge.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 
 from ..config import BM25Params
 from .index_reader import Block, TermPostings, _blocks_from_table
@@ -58,15 +57,18 @@ class _ShardIndexView:
         if terms is None:
             terms_tbl = read_terms_table(index_dir)
         else:
+            # typed, so an empty term set filters to nothing instead of
+            # failing on a null-typed value set
+            terms = pa.array(list(terms), pa.string())
             terms_tbl = terms_dataset(index_dir).to_table(
-                filter=pads.field("term").isin(list(terms))
+                filter=pads.field("term").isin(terms)
             )
         self._df = dict(zip(terms_tbl["term"].to_pylist(), terms_tbl["df"].to_pylist()))
 
         ds = pads.dataset(os.path.join(index_dir, "postings"))
         flt = pads.field("shard") == shard
         if terms is not None:
-            flt = flt & pads.field("term").isin(list(terms))
+            flt = flt & pads.field("term").isin(terms)
         tbl = ds.to_table(filter=flt)
         self._blocks = _blocks_from_table(tbl, self.stats.get("codec", "vbyte"))
         if tbl.num_rows:
@@ -159,16 +161,13 @@ class AdptHistogram:
         self.index_dir = index_dir
         self.terms = terms
         self.b = b
-        self._views: dict[int, _ShardIndexView] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .scoring import adpt_cd_counts
 
         rows = {"term": [], "counts": []}
         for shard in batch["shard"].to_pylist():
-            view = self._views.setdefault(
-                shard, _ShardIndexView(self.index_dir, shard, terms=self.terms)
-            )
+            view = _ShardIndexView(self.index_dir, shard, terms=self.terms)
             for term in self.terms:
                 got = _shard_cds(view, term, self.b)
                 if got is None:
@@ -210,8 +209,9 @@ def _shard_scores(view: _ShardIndexView, keywords, scorer: str, params: BM25Para
 
 
 class ShardScorer:
-    """Actor stage: one shard's postings loaded once per actor; the (small)
-    topic set is broadcast via constructor kwargs, shard ids stream in."""
+    """Actor stage: scores every topic on each shard it is handed; the
+    (small) topic set is broadcast via constructor kwargs, shard ids
+    stream in."""
 
     def __init__(self, index_dir: str, topics, scorer: str = "bm25", k: int = 1000,
                  adpt_params: dict | None = None, method: str = "taat"):
@@ -230,33 +230,69 @@ class ShardScorer:
         self.method = method
         # pruned dictionary/postings reads: only the topics' terms are needed
         self.term_set = sorted({t for _, kws in topics for t, _ in kws})
-        self._views: dict[int, _ShardIndexView] = {}
         with open(os.path.join(index_dir, "stats.json")) as fh:
             stats = json.load(fh)
         self.params = BM25Params(**{key: stats["bm25"][key] for key in ("k1", "k3", "b")})
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"topic": [], "doc_id": [], "score": []}
+        topic, doc_id, score = [], [], []
         for shard in batch["shard"].to_pylist():
-            view = self._views.get(shard)
-            if view is None:
-                view = _ShardIndexView(self.index_dir, shard, terms=self.term_set)
-                self._views[shard] = view
-            for topic, keywords in self.topics:
+            view = _ShardIndexView(self.index_dir, shard, terms=self.term_set)
+            for t, keywords in self.topics:
                 ids, scores = _shard_scores(
                     view, keywords, self.scorer, self.params, self.k, self.method,
                     self.adpt_params,
                 )
-                rows["topic"].extend([topic] * len(ids))
-                rows["doc_id"].extend(ids.tolist())
-                rows["score"].extend(scores.tolist())
-        return pa.table(
-            {
-                "topic": pa.array(rows["topic"], pa.int32()),
-                "doc_id": pa.array(rows["doc_id"], pa.int64()),
-                "score": pa.array(rows["score"], pa.float32()),
-            }
-        )
+                topic.append(np.full(len(ids), t, dtype=np.int32))
+                doc_id.append(ids)
+                score.append(scores)
+        return _topk_table(topic, doc_id, score, np.float32)
+
+
+def _topk_table(topic: list, doc_id: list, score: list, score_type) -> pa.Table:
+    """(topic int32, doc_id int64, score) table from per-shard array lists."""
+    def cat(parts, dtype):
+        return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)
+
+    return pa.table({
+        "topic": pa.array(cat(topic, np.int32)),
+        "doc_id": pa.array(cat(doc_id, np.int64)),
+        "score": pa.array(cat(score, score_type)),
+    })
+
+
+def run_shards(actor, shards: list[dict], concurrency, **kwargs) -> pa.Table | None:
+    """The one doc-range dispatch every sharded scorer goes through: each
+    shard descriptor is one batch for an ``actor`` pool (each actor built
+    once from ``kwargs``); the per-shard result tables — k rows per
+    (topic, shard), not score arrays — are concatenated on the driver.  None
+    when no shard returned a batch."""
+    import ray.data
+
+    out = ray.data.from_items(shards).map_batches(
+        actor,
+        fn_constructor_kwargs=kwargs,
+        batch_size=1,
+        batch_format="pyarrow",
+        concurrency=concurrency,
+        num_cpus=1,
+    )
+    tables = [pa.table(b) for b in out.iter_batches(batch_size=None, batch_format="pyarrow")]
+    return pa.concat_tables(tables) if tables else None
+
+
+def merge_topk(topic: np.ndarray, doc_id: np.ndarray, score: np.ndarray, k: int,
+               tie: np.ndarray | None = None):
+    """The driver-side top-k merge of per-shard rows: order by (topic asc,
+    score desc, tie asc) — ``tie`` defaults to ``doc_id`` — and keep the
+    first ``k`` rows of each topic.  -> (topic, doc_id, score, rank int32)."""
+    order = np.lexsort((doc_id if tie is None else tie, -score, topic))
+    topic, doc_id, score = topic[order], doc_id[order], score[order]
+    n = len(topic)
+    first = np.flatnonzero(np.concatenate(([True], topic[1:] != topic[:-1])))
+    rank = (np.arange(n) - np.repeat(first, np.diff(np.append(first, n))) + 1).astype(np.int32)
+    keep = rank <= k
+    return topic[keep], doc_id[keep], score[keep], rank[keep]
 
 
 def search_topics_sharded(
@@ -272,14 +308,11 @@ def search_topics_sharded(
     prunes INSIDE each shard (bm25/tfidf): the union of
     shard-local top-k supersets the global top-k, so the merge result stays
     bit-identical while each shard decodes only surviving blocks."""
-    import ray.data
-
     post_meta = pads.dataset(os.path.join(index_dir, "postings"))
-    shards = sorted(
-        set(
-            post_meta.to_table(columns=["shard"])["shard"].to_pylist()
-        )
-    )
+    shards = [
+        {"shard": s}
+        for s in sorted(set(post_meta.to_table(columns=["shard"])["shard"].to_pylist()))
+    ]
     adpt_params = None
     if scorer == "bm25adpt":
         # PHASE 1: per-shard cd histograms -> summed on the driver ->
@@ -287,26 +320,18 @@ def search_topics_sharded(
         # 100 ints per (shard, term); the tf distribution never leaves the
         # shards.
         from .scoring import adpt_term_params
+        from .terms_io import read_terms_table
 
         with open(os.path.join(index_dir, "stats.json")) as fh:
             stats = json.load(fh)
-        from .terms_io import read_terms_table
-
         terms_tbl = read_terms_table(index_dir)
         df_map = dict(zip(terms_tbl["term"].to_pylist(), terms_tbl["df"].to_pylist()))
         q_terms = sorted({t for _, kws in topics for t, _ in kws if t in df_map})
-        hist_ds = ray.data.from_items([{"shard": s} for s in shards]).map_batches(
-            AdptHistogram,
-            fn_constructor_kwargs=dict(index_dir=index_dir, terms=q_terms, b=stats["bm25"]["b"]),
-            batch_size=1,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
+        hist = run_shards(AdptHistogram, shards, concurrency, index_dir=index_dir,
+                          terms=q_terms, b=stats["bm25"]["b"])
         totals: dict[str, np.ndarray] = {}
-        for b_ in hist_ds.iter_batches(batch_size=None, batch_format="pyarrow"):
-            tbl = pa.table(b_)
-            for term, counts in zip(tbl["term"].to_pylist(), tbl["counts"].to_pylist()):
+        if hist is not None:
+            for term, counts in zip(hist["term"].to_pylist(), hist["counts"].to_pylist()):
                 acc = totals.get(term)
                 arr = np.asarray(counts, dtype=np.int64)
                 totals[term] = arr if acc is None else acc + arr
@@ -315,29 +340,14 @@ def search_topics_sharded(
             for term, counts in totals.items()
         }
 
-    shard_ds = ray.data.from_items([{"shard": s} for s in shards])
-    local = shard_ds.map_batches(
-        ShardScorer,
-        fn_constructor_kwargs=dict(index_dir=index_dir, topics=topics, scorer=scorer, k=k,
-                                   adpt_params=adpt_params, method=method),
-        batch_size=1,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        num_cpus=1,
+    rows = run_shards(ShardScorer, shards, concurrency, index_dir=index_dir, topics=topics,
+                      scorer=scorer, k=k, adpt_params=adpt_params, method=method)
+    if rows is None:
+        rows = _topk_table([], [], [], np.float32)
+    topic, doc_id, score, rank = merge_topk(
+        np.asarray(rows["topic"]), np.asarray(rows["doc_id"]), np.asarray(rows["score"]), k
     )
-
-    def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["score", "doc_id"], ascending=[False, True], kind="stable"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int32)
-        return g
-
-    out = local.groupby("topic").map_groups(merge_topk, batch_format="pandas")
-    batches = list(out.iter_batches(batch_size=None, batch_format="pyarrow"))
-    if not batches:
-        return pa.table({"topic": [], "doc_id": [], "score": [], "rank": []})
-    return pa.concat_tables([pa.table(b) for b in batches]).sort_by(
-        [("topic", "ascending"), ("rank", "ascending")]
-    )
+    return pa.table({
+        "topic": pa.array(topic), "doc_id": pa.array(doc_id),
+        "score": pa.array(score), "rank": pa.array(rank),
+    })

@@ -75,6 +75,55 @@ def test_cli_index_search_stats(cli_corpus, capsys, tmp_path):
         assert df > 10 and len(term) <= 4
 
 
+@pytest.fixture(scope="module")
+def sharded_index(cli_corpus):
+    """An index with more than one doc-range shard (4 fragments, 2 each)."""
+    index_dir = f"{BASE}/index_sharded"
+    build_index(cli_corpus, index_dir, BuildConfig(block_entries=16, frags_per_shard=2),
+                overwrite=True)
+    import pyarrow.parquet as pq
+
+    shards = pq.read_table(f"{index_dir}/postings", columns=["shard"])["shard"]
+    assert len(set(shards.to_pylist())) > 1
+    return index_dir
+
+
+def test_cli_sharded_byte_equal_run(sharded_index, tmp_path):
+    """`search --sharded` writes the same run files as the default path,
+    byte for byte once the run name is normalised."""
+    vocab = sorted(IndexReader(sharded_index)._df)[:40]
+    topics_path = str(tmp_path / "topics.txt")
+    write_trec_topics(topics_path, generate_topics(4, vocab, seed=9))
+    out = str(tmp_path)
+    for run, extra in (("a", []), ("b", ["--sharded"])):
+        assert main(["search", run, topics_path, sharded_index, "QueryOptions(UseHeadline)",
+                     "--k", "15", "--out-dir", out, "--scorers", "bm25,tfidf", *extra]) == 0
+    for scorer in ("BM25Scorer", "TfIdfScorer"):
+        base = open(os.path.join(out, f"results-a-{scorer}.txt")).read()
+        sharded = open(os.path.join(out, f"results-b-{scorer}.txt")).read()
+        assert base.count("\n") > 0, scorer
+        assert base.replace(" a\n", " RUN\n") == sharded.replace(" b\n", " RUN\n"), scorer
+
+
+def test_sharded_no_match_is_typed_empty(sharded_index, tmp_path):
+    """Topics whose terms are all absent: the sharded merge returns the
+    typed empty table, and `search --sharded` writes an empty run file."""
+    from search_engine_ray.engine.sharded_search import search_topics_sharded
+
+    topics = [(1, [("zzqabsent", 1)]), (2, [("zzqmissing", 2), ("zzqnothere", 1)])]
+    for scorer in ("bm25", "bm25adpt"):
+        tbl = search_topics_sharded(sharded_index, topics, scorer=scorer, k=10)
+        assert tbl.num_rows == 0
+        assert tbl.schema == pa.schema([("topic", pa.int32()), ("doc_id", pa.int64()),
+                                        ("score", pa.float32()), ("rank", pa.int32())])
+    topics_path = str(tmp_path / "topics.txt")
+    write_trec_topics(topics_path, [(401, "zzqabsent zzqmissing", "", "")])
+    assert main(["search", "e", topics_path, sharded_index, "QueryOptions(UseHeadline)",
+                 "--out-dir", str(tmp_path), "--sharded"]) == 0
+    for scorer in ("TfIdfScorer", "BM25Scorer", "BM25ADPT"):
+        assert open(os.path.join(str(tmp_path), f"results-e-{scorer}.txt")).read() == ""
+
+
 def test_option_matrix_e2e(cli_corpus, ray_session):
     """Golden config matrix (FIXTURES.md §4): each flag combination builds an
     index that decode-equals the oracle under the same options."""
@@ -282,6 +331,17 @@ def test_cli_query_positions_phrase(ray_session, tmp_path):
     for r in matched:
         total = np.float32(total + np.float32(r["contribution"]))
     assert float(total) == top["score"]
+    # a repeated query term (qtf=2) is explained with the same kernel
+    rows2 = [_json.loads(l) for l in run("query", idx, "alpha beta alpha", "--k", "5")]
+    exp2 = [_json.loads(l) for l in run(
+        "query", idx, "alpha beta alpha", "--explain", rows2[0]["doc"])]
+    assert [(r["term"], r["qtf"]) for r in exp2[:-1]] == [("alpha", 2), ("beta", 1)]
+    assert exp2[-1]["score"] == rows2[0]["score"]
+    total = np.float32(0.0)
+    for r in exp2[:-1]:
+        if r["matched"]:
+            total = np.float32(total + np.float32(r["contribution"]))
+    assert float(total) == rows2[0]["score"]
     # ranked-and and synonyms surfaces through the CLI
     ra = [_json.loads(l) for l in run("query", idx, "alpha beta", "--ranked-and")]
     assert {r["doc"] for r in ra} == {"0"}

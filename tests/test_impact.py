@@ -330,3 +330,27 @@ def test_rerank_two_tier(built):
     exp_order = sorted(cand.tolist(), key=lambda d: (-lut[d], d))[:k]
     assert got_ids.tolist() == exp_order
     assert np.allclose(got_sc, [lut[d] for d in exp_order], rtol=0, atol=0)
+
+
+def test_rerank_drops_candidates_the_exact_tier_skips(built):
+    """A candidate the exact tier does not score is dropped from the
+    result; every returned score is finite."""
+    from search_engine_ray.engine.impact import saat_rerank
+    from search_engine_ray.pipelines import bm25_scores_f64
+
+    index, impact = built
+    qs, _ = _brute_quantized(index, Q)
+    kws = [(t, 1) for t in list(qs)[:3]]
+    cand, _sc, _p = saat_topk(impact, kws, k=7)
+    skipped = int(cand[0])
+
+    def without_top(reader, keywords):
+        ids, scores = bm25_scores_f64(reader, keywords)
+        keep = ids != skipped
+        return ids[keep], scores[keep]
+
+    ids, scores, _ = saat_rerank(
+        impact, IndexReader(index), kws, k=7, n_candidates=7, scores_fn=without_top)
+    assert skipped not in ids.tolist()
+    assert len(ids) == len(cand) - 1
+    assert np.isfinite(scores).all()
