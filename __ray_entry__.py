@@ -64,6 +64,15 @@ def _micros(x: np.ndarray) -> np.ndarray:
 _SQL_MICROS = "CAST(FLOOR({expr} * 1000000 + 0.5) AS BIGINT)"
 
 
+def _micros_top10(doc_ids: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, micros) of the top 10 of a full ranking, cut on floored
+    micros with ties -> doc_id asc: the key the oracles rank on, so two
+    float scores within a micro of each other cannot swap across the cut."""
+    micros = _micros(scores)
+    top = np.lexsort((doc_ids, -micros))[:10]
+    return np.asarray(doc_ids, dtype=np.int64)[top], micros[top]
+
+
 def _reader(sf_dir: str, options: IndexOptions = OPT_NOSTEM):
     from search_engine_ray.pipelines import documents_reader
 
@@ -372,106 +381,6 @@ def q_corpus_log_odds(sf_dir: str) -> pa.Table:
 
     return corpus_log_odds(
         ds.map_batches(add_side, batch_format="pyarrow"), "side_a", k=20
-    )
-
-
-def _reader_fixed(sf_dir: str):
-    """Reader over a documents index built with the byte-aligned
-    fixed-width postings codec (engine/codec.py: fixed_encode_cells) —
-    separate cache key, same corpus, same tokenization."""
-    from search_engine_ray.pipelines import documents_reader
-
-    return documents_reader(sf_dir, OPT_NOSTEM, codec="fixed")
-
-
-def q_posting_lookup_fixed(sf_dir: str) -> pa.Table:
-    """posting_lookup against a codec="fixed" index — the same oracle SQL
-    must match, externally proving the codec's decode bit-identity on the
-    statistics layer."""
-    r = _reader_fixed(sf_dir)
-    rows = {"term": [], "df": [], "total_tf": [], "min_doc": [], "max_doc": []}
-    for term in LOOKUP_TERMS:
-        tp = r.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, _ = tp.arrays()
-        rows["term"].append(term)
-        rows["df"].append(tp.df)
-        rows["total_tf"].append(int(tfs.sum()))
-        rows["min_doc"].append(int(ids.min()))
-        rows["max_doc"].append(int(ids.max()))
-    return pa.table(
-        {
-            "term": pa.array(rows["term"], pa.string()),
-            "df": pa.array(rows["df"], pa.int64()),
-            "total_tf": pa.array(rows["total_tf"], pa.int64()),
-            "min_doc": pa.array(rows["min_doc"], pa.int64()),
-            "max_doc": pa.array(rows["max_doc"], pa.int64()),
-        }
-    ).sort_by([("term", "ascending")])  # canonical order = oracle ORDER BY
-
-
-def q_bm25_fixed_top10(sf_dir: str) -> pa.Table:
-    """bm25_top10 against a codec="fixed" index (same oracle SQL as
-    bm25_top10) — ranking-layer bit-identity across codecs."""
-    from search_engine_ray.pipelines import bm25_scores_f64
-
-    r = _reader_fixed(sf_dir)
-    ids, scores = bm25_scores_f64(r, BM25_QUERY)
-    ids, scores = ids[:10], scores[:10]
-    doc_ids = np.asarray([int(r.doc_names[d]) for d in ids], dtype=np.int64)
-    return pa.table(
-        {"doc_id": pa.array(doc_ids), "score_micros": pa.array(_micros(scores))}
-    )
-
-
-def _reader_pfor(sf_dir: str):
-    """Reader over a documents index built with the PFor postings codec
-    (engine/codec.py: pfor_encode_cells — patched frame-of-reference,
-    bit-packed low bits + exception patching)."""
-    from search_engine_ray.pipelines import documents_reader
-
-    return documents_reader(sf_dir, OPT_NOSTEM, codec="pfor")
-
-
-def q_posting_lookup_pfor(sf_dir: str) -> pa.Table:
-    """posting_lookup against a codec="pfor" index — the same oracle SQL
-    must match, externally proving the bit-packed+patched decode on the
-    statistics layer."""
-    r = _reader_pfor(sf_dir)
-    rows = {"term": [], "df": [], "total_tf": [], "min_doc": [], "max_doc": []}
-    for term in LOOKUP_TERMS:
-        tp = r.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, _ = tp.arrays()
-        rows["term"].append(term)
-        rows["df"].append(tp.df)
-        rows["total_tf"].append(int(tfs.sum()))
-        rows["min_doc"].append(int(ids.min()))
-        rows["max_doc"].append(int(ids.max()))
-    return pa.table(
-        {
-            "term": pa.array(rows["term"], pa.string()),
-            "df": pa.array(rows["df"], pa.int64()),
-            "total_tf": pa.array(rows["total_tf"], pa.int64()),
-            "min_doc": pa.array(rows["min_doc"], pa.int64()),
-            "max_doc": pa.array(rows["max_doc"], pa.int64()),
-        }
-    ).sort_by([("term", "ascending")])  # canonical order = oracle ORDER BY
-
-
-def q_bm25_pfor_top10(sf_dir: str) -> pa.Table:
-    """bm25_top10 against a codec="pfor" index (same oracle SQL) —
-    ranking-layer bit-identity across all three codecs."""
-    from search_engine_ray.pipelines import bm25_scores_f64
-
-    r = _reader_pfor(sf_dir)
-    ids, scores = bm25_scores_f64(r, BM25_QUERY)
-    ids, scores = ids[:10], scores[:10]
-    doc_ids = np.asarray([int(r.doc_names[d]) for d in ids], dtype=np.int64)
-    return pa.table(
-        {"doc_id": pa.array(doc_ids), "score_micros": pa.array(_micros(scores))}
     )
 
 
@@ -2521,11 +2430,10 @@ def q_maxp_top10(sf_dir: str) -> pa.Table:
 
     idx = documents_maxp_index_dir(sf_dir, OPT_NOSTEM)
     reader = IndexReader(idx, preload=True)
-    docs, scores = maxp_bm25_f64(reader, [(t, 1) for t in ("spark", "hash", "join")])
-    docs, scores = docs[:10], scores[:10]
-    return pa.table(
-        {"doc_id": pa.array(docs), "score_micros": pa.array(_micros(scores))}
+    docs, micros = _micros_top10(
+        *maxp_bm25_f64(reader, [(t, 1) for t in ("spark", "hash", "join")])
     )
+    return pa.table({"doc_id": pa.array(docs), "score_micros": pa.array(micros)})
 
 
 def q_sump_top10(sf_dir: str) -> pa.Table:
@@ -2561,13 +2469,10 @@ def q_firstp_top10(sf_dir: str) -> pa.Table:
 
     idx = documents_maxp_index_dir(sf_dir, OPT_NOSTEM)
     reader = IndexReader(idx, preload=True)
-    docs, scores = maxp_bm25_f64(
+    docs, micros = _micros_top10(*maxp_bm25_f64(
         reader, [(t, 1) for t in ("spark", "hash", "join")], agg="first"
-    )
-    docs, scores = docs[:10], scores[:10]
-    return pa.table(
-        {"doc_id": pa.array(docs), "score_micros": pa.array(_micros(scores))}
-    )
+    ))
+    return pa.table({"doc_id": pa.array(docs), "score_micros": pa.array(micros)})
 
 
 def _maxp_sql(agg: str = "max") -> str:
@@ -2576,38 +2481,22 @@ def _maxp_sql(agg: str = "max") -> str:
     tokenizer, score chunk-level BM25 with chunk-corpus statistics, then
     aggregate per document — MAX (MaxP), SUM of integer chunk micros
     (SumP; integer so summation order cannot matter), or chunk 0 only
-    (FirstP)."""
-    if agg == "max":
-        tail = f"""
-            mx AS (SELECT doc_id, MAX(score) AS score FROM sc GROUP BY doc_id),
-            ranked AS (SELECT doc_id, score,
-                              row_number() OVER (ORDER BY score DESC, doc_id ASC) AS r
-                       FROM mx)
-            SELECT CAST(doc_id AS BIGINT) AS doc_id,
-                   {_SQL_MICROS.format(expr="score")} AS score_micros
-            FROM ranked WHERE r <= 10
-            ORDER BY r ASC
-        """
-    elif agg == "sum":
-        tail = f"""
-            cm AS (SELECT doc_id, {_SQL_MICROS.format(expr="score")} AS m FROM sc),
-            mx AS (SELECT doc_id, CAST(SUM(m) AS BIGINT) AS score_micros
-                   FROM cm GROUP BY doc_id),
+    (FirstP).  All three rank on integer micros, ties by doc_id."""
+    mx = {
+        "max": f"""SELECT doc_id, {_SQL_MICROS.format(expr="MAX(score)")} AS score_micros
+                   FROM sc GROUP BY doc_id""",
+        "sum": f"""SELECT doc_id, CAST(SUM({_SQL_MICROS.format(expr="score")}) AS BIGINT)
+                     AS score_micros
+                   FROM sc GROUP BY doc_id""",
+        "first": f"""SELECT doc_id, {_SQL_MICROS.format(expr="score")} AS score_micros
+                     FROM sc WHERE chunk_id = 0""",
+    }[agg]
+    tail = f"""
+            mx AS ({mx}),
             ranked AS (SELECT doc_id, score_micros,
                               row_number() OVER (ORDER BY score_micros DESC, doc_id ASC) AS r
                        FROM mx)
             SELECT CAST(doc_id AS BIGINT) AS doc_id, score_micros
-            FROM ranked WHERE r <= 10
-            ORDER BY r ASC
-        """
-    else:  # first
-        tail = f"""
-            mx AS (SELECT doc_id, score FROM sc WHERE chunk_id = 0),
-            ranked AS (SELECT doc_id, score,
-                              row_number() OVER (ORDER BY score DESC, doc_id ASC) AS r
-                       FROM mx)
-            SELECT CAST(doc_id AS BIGINT) AS doc_id,
-                   {_SQL_MICROS.format(expr="score")} AS score_micros
             FROM ranked WHERE r <= 10
             ORDER BY r ASC
         """
@@ -5414,17 +5303,20 @@ def q_saat_rerank_top10(sf_dir: str) -> pa.Table:
     imp_dir = documents_impact_dir(sf_dir, OPT_NOSTEM)
     r = _reader(sf_dir)
     doc_key = np.asarray([int(nm) for nm in r.doc_names], dtype=np.int64)
+    # every candidate comes back exactly scored; the cut to 10 is made
+    # on micros, the oracle's ranking key
     ids, scores, processed = saat_rerank(
         imp_dir, r, [(t, 1) for t in ("spark", "hash", "join")],
-        k=10, n_candidates=_SAAT_RERANK_CAND, budget=_SAAT_BUDGET,
-        doc_key=doc_key,
+        k=_SAAT_RERANK_CAND, n_candidates=_SAAT_RERANK_CAND,
+        budget=_SAAT_BUDGET, doc_key=doc_key,
     )
+    docs, micros = _micros_top10(doc_key[ids], scores)
     return pa.table(
         {
-            "doc_id": pa.array(doc_key[ids]),
-            "score_micros": pa.array(_micros(scores)),
+            "doc_id": pa.array(docs),
+            "score_micros": pa.array(micros),
             "postings_processed": pa.array(
-                np.full(len(ids), processed, dtype=np.int64)
+                np.full(len(docs), processed, dtype=np.int64)
             ),
         }
     )
@@ -6627,7 +6519,8 @@ def _saat_rerank_sql(budget: int, n_candidates: int = _SAAT_RERANK_CAND) -> str:
     """Oracle for the two-tier pipeline: the anytime-SAAT CTEs nominate
     the top-``n_candidates`` by quantized score (ties -> doc_id asc, the
     engine's doc_key rule), then the EXACT Robertson-idf BM25 rescores
-    only those and the final top-10 is ordered by exact micros."""
+    only those and the final top-10 is ranked on exact micros (ties ->
+    doc_id asc)."""
     core = _saat_sql(budget)
     # reuse everything up to (and incl.) the sc CTE; replace the final cut
     core = core[: core.index("ranked AS")]
@@ -6647,11 +6540,12 @@ def _saat_rerank_sql(budget: int, n_candidates: int = _SAAT_RERANK_CAND) -> str:
               WHERE tfall.term IN ('spark','hash','join')
               GROUP BY tfall.doc_id
             ),
-            rr AS (SELECT ex.doc_id, ex.score,
-                          row_number() OVER (ORDER BY ex.score DESC, ex.doc_id ASC) AS r
+            rr AS (SELECT ex.doc_id, {_SQL_MICROS.format(expr="ex.score")} AS score_micros,
+                          row_number() OVER (
+                            ORDER BY {_SQL_MICROS.format(expr="ex.score")} DESC, ex.doc_id ASC
+                          ) AS r
                    FROM ex JOIN cand USING (doc_id))
-            SELECT CAST(doc_id AS BIGINT) AS doc_id,
-                   {_SQL_MICROS.format(expr="score")} AS score_micros,
+            SELECT CAST(doc_id AS BIGINT) AS doc_id, score_micros,
                    (SELECT processed FROM proc) AS postings_processed
             FROM rr WHERE r <= 10
             ORDER BY r ASC
@@ -7711,12 +7605,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bm25_champions_top10": q_bm25_champions_top10,
         "bm25_federated_bloom_top10": q_bm25_federated_bloom_top10,
         "grouped_moments": q_grouped_moments,
-        # codec="fixed" twins: same oracles as posting_lookup / bm25_top10 —
-        # the fixed-width postings codec must be externally bit-identical
-        "posting_lookup_fixed": q_posting_lookup_fixed,
-        "posting_lookup_pfor": q_posting_lookup_pfor,
-        "bm25_pfor_top10": q_bm25_pfor_top10,
-        "bm25_fixed_top10": q_bm25_fixed_top10,
         "doc_keywords": q_doc_keywords,
         "corpus_log_odds": q_corpus_log_odds,
         "winnow_fingerprints": q_winnow_fingerprints,
@@ -11241,11 +11129,6 @@ def oracle_sql() -> dict[str, str]:
     # term-partitioned retrieval must equal the unsplit ranking, like merge
     out["bm25_term_sharded_top10"] = out["bm25_top10"]
     out["bm25f_top10"] = _bm25f_sql()
-    # fixed-codec twins: byte layout differs, results must not
-    out["posting_lookup_fixed"] = out["posting_lookup"]
-    out["bm25_fixed_top10"] = out["bm25_top10"]
-    out["posting_lookup_pfor"] = out["posting_lookup"]
-    out["bm25_pfor_top10"] = out["bm25_top10"]
     # time travel: as-of generation 0 == the original, un-deleted ranking
     out["bm25_asof_top10"] = out["bm25_top10"]
     out["mmr_top10"] = _mmr_sql(micros)

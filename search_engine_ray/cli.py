@@ -90,7 +90,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     from .engine.build import build_index
 
     options = parse_index_options(args.options)
-    config = BuildConfig(options=options, codec=getattr(args, "codec", "vbyte"))
+    config = BuildConfig(options=options)
     input_path = args.input
     source_column, name_column = args.source_column, args.name_column
     if args.format == "trec":
@@ -855,7 +855,6 @@ def cmd_positions(args: argparse.Namespace) -> int:
     stats = build_position_index(
         args.corpus, args.positions_dir, parse_index_options(args.options),
         source_column=args.source_column, name_column=args.name_column,
-        codec=getattr(args, "codec", "vbyte"),
     )
     print(json.dumps(stats))
     return 0
@@ -1158,7 +1157,7 @@ def cmd_reorder(args: argparse.Namespace) -> int:
     from .engine.reorder import reorder_index
 
     options = parse_index_options(args.options)
-    config = BuildConfig(options=options, codec=getattr(args, "codec", "vbyte"))
+    config = BuildConfig(options=options)
     stats = reorder_index(
         args.corpus,
         args.index_dir,
@@ -1306,12 +1305,6 @@ def main(argv: list[str] | None = None) -> int:
         help="'trec': input is a directory of <DOC>/<DOCNO> files "
              "(the reference engine's native format); 'warc': a directory "
              "of WARC/.warc.gz response captures (Common Crawl's container)",
-    )
-    pi.add_argument(
-        "--codec", choices=("vbyte", "fixed", "pfor"), default="vbyte",
-        help="postings codec: 'vbyte' (smallest) or 'fixed' (byte-aligned "
-             "fixed-width cells, ~2x faster decode at ~0.7 B/value size "
-             "cost); recorded in stats.json and auto-detected at query time",
     )
     pi.add_argument("--overwrite", action="store_true")
     pi.add_argument("--num-cpus", type=int, default=None)
@@ -1503,7 +1496,6 @@ def main(argv: list[str] | None = None) -> int:
                      default="IndexOptions(CaseFolding,RemoveStopWords)")
     pps.add_argument("--source-column", default="html")
     pps.add_argument("--name-column", default="url")
-    pps.add_argument("--codec", choices=("vbyte", "fixed", "pfor"), default="vbyte")
     pps.add_argument("--num-cpus", type=int, default=8)
     pps.set_defaults(fn=cmd_positions)
 
@@ -1566,7 +1558,6 @@ def main(argv: list[str] | None = None) -> int:
     pro.add_argument("--source-column", default="html")
     pro.add_argument("--name-column", default="url")
     pro.add_argument("--sort-partitions", type=int, default=8)
-    pro.add_argument("--codec", choices=("vbyte", "fixed", "pfor"), default="vbyte")
     pro.add_argument("--overwrite", action="store_true")
     pro.add_argument("--num-cpus", type=int, default=8)
     pro.set_defaults(fn=cmd_reorder)

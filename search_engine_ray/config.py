@@ -9,6 +9,9 @@ UseNarrative).  BM25 constants ← /root/reference/src/Program.cs:100-102
 IndexOptions are persisted with the index (stats.json) and re-applied at query
 time so queries normalize identically to the corpus
 (reference: Program.cs:92, TopicParser.cs:102-123).
+
+BuildConfig holds the build's physical knobs.  The postings encoding is not
+one of them: every index is delta+VByte (engine/codec.py).
 """
 
 from __future__ import annotations
@@ -48,38 +51,21 @@ class BM25Params:
 class BuildConfig:
     """Physical knobs for the Ray Data index-build pipeline.
 
-    Defaults are sized for the sandbox (32 CPUs); at cluster scale raise
-    ``segment_concurrency`` with the node count and keep ``block_entries``
-    fixed (MaxScore cursors consume blocks independently, so head-term
-    posting lists are never materialized as one payload — see
-    SURVEY.md §2.5 A2 / §7.4.3).
+    Stage 1 runs one task per fragment and the term-shuffle partition
+    count follows the data, so neither needs a knob at cluster scale; keep
+    ``block_entries`` fixed (MaxScore cursors consume blocks
+    independently, so head-term posting lists are never materialized as
+    one payload — see SURVEY.md §2.5 A2 / §7.4.3).
     """
 
     options: IndexOptions = field(default_factory=IndexOptions)
     bm25: BM25Params = field(default_factory=BM25Params)
     # posting entries per compressed block (cursor skipping granularity)
     block_entries: int = 128
-    # Postings codec: "vbyte" (delta+VByte, smallest) or "fixed"
-    # (byte-aligned fixed-width cells — ~2x faster single-gather decode at
-    # ~0.7 B/value size cost; see engine/codec.py).  Recorded in stats.json
-    # and auto-detected by every reader; results are bit-identical.
-    codec: str = "vbyte"
     # fragments whose terms shuffle under the same shard key:
     # shard = frag_id // frags_per_shard. Bounds any single groupby payload
     # to ~frags_per_shard fragments' worth of one term's postings.
     frags_per_shard: int = 64
-    # Segment-build compute strategy: None (default) = stateless task pool —
-    # worker processes are reused so the Porter memo (module-global) stays
-    # warm, with none of the actor-pool spin-up cost; set an int/(min,max)
-    # to force an actor pool instead (useful when per-stage resource
-    # isolation matters more than startup latency).
-    segment_concurrency: int | tuple[int, int] | None = None
-    # Term-shuffle partition count: None = data-driven (one partition per
-    # ~SHUFFLE_PARTITION_BYTES of segment data, bounded by CPUs) — at
-    # cluster scale this grows with data, not with a hardcoded constant.
-    shuffle_partitions: int | None = None
-    # rows per read fragment batch; fragments are row-group sized already
-    target_rows_per_fragment: int = 65536
     # Tokenize/segment a fragment in sub-slices of this many docs so the
     # token arrays stay cache-resident (measured 1.7x aggregate throughput
     # at 24-way parallelism on DRAM-constrained hosts).  Sub-slices emit

@@ -5,7 +5,7 @@ scan files -> per-worker in-RAM index -> barrier -> serial merge -> one
 binary blob.  Ray-native restatement (SURVEY.md §3.1):
 
   plan fragments (footer metadata only, deterministic docID bases)
-    -> map_batches(SegmentBuilder, actor pool)   [stage 1: streams, no shuffle]
+    -> map_batches(build_segments_batch, tasks)  [stage 1: streams, no shuffle]
          each fragment atomically writes docs/ + segments/ parts and a
          manifest JSON (the checkpoint commit marker)
     -> global stats from manifests (n_docs, avgdl)  [tiny driver reduce]
@@ -25,16 +25,15 @@ import os
 import shutil
 import time
 
-import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
 from ..config import BuildConfig
+from .codec import load_meta
 from .merge import add_merge_keys, make_merge_fn, POSTINGS_SCHEMA
 from .reader import plan_fragments
-from .segments import SegmentBuilder, build_segments_batch
+from .segments import build_segments_batch
 
 # terms finalization: at most this many (term, shard) block-metadata rows
 # aggregate driver-side into ONE terms.parquet; above it the finalization
@@ -54,13 +53,14 @@ def build_index(
 ) -> dict:
     """Build (or resume building) the inverted index.  Returns stats dict."""
     config = config or BuildConfig()
-    from .codec import CODEC_NAMES
-
-    if config.codec not in CODEC_NAMES:
-        raise ValueError(f"unknown postings codec {config.codec!r}; choose from {CODEC_NAMES}")
     if overwrite and os.path.isdir(index_dir):
         shutil.rmtree(index_dir)
     os.makedirs(index_dir, exist_ok=True)
+    # resuming or appending extends the cells an earlier build wrote:
+    # refuse them unless they are VByte
+    for name in ("stats.json", "build_codec.json"):
+        if os.path.exists(os.path.join(index_dir, name)):
+            load_meta(os.path.join(index_dir, name))
 
     complete_marker = os.path.join(index_dir, ".complete")
 
@@ -100,62 +100,21 @@ def build_index(
         json.dump(current, fh)
     os.replace(plan_path + ".tmp", plan_path)
 
-    # codec is a physical property of every already-written segment cell, so
-    # a resume/append must keep the original choice (sibling marker file —
-    # the plan file stays a bare fragment list for cross-version resume)
-    codec_path = os.path.join(index_dir, "build_codec.json")
-    if os.path.exists(codec_path):
-        with open(codec_path) as fh:
-            prior_codec = json.load(fh)["codec"]
-        if prior_codec != config.codec:
-            raise ValueError(
-                f"index at {index_dir} was built with codec={prior_codec!r}; "
-                f"cannot resume/append with codec={config.codec!r} — rebuild "
-                "with overwrite=True"
-            )
-    else:
-        manifest_dir = os.path.join(index_dir, "manifest")
-        if (
-            config.codec != "vbyte"
-            and os.path.isdir(manifest_dir)
-            and os.listdir(manifest_dir)
-        ):
-            # pre-marker builds are vbyte by definition
-            raise ValueError(
-                f"index at {index_dir} has pre-existing vbyte segments; "
-                f"cannot resume/append with codec={config.codec!r} — rebuild "
-                "with overwrite=True"
-            )
-        with open(codec_path + ".tmp", "w") as fh:
-            json.dump({"codec": config.codec}, fh)
-        os.replace(codec_path + ".tmp", codec_path)
-
     # ---- stage 1: per-fragment segments (streams; no shuffle) ----
     n_cpus = max(2, int(ray.cluster_resources().get("CPU", 4)))
-    frag_ds = ray.data.from_items([f.to_dict() for f in fragments])
-    stage_kwargs = dict(
-        index_dir=index_dir,
-        config=config,
-        source_column=source_column,
-        name_column=name_column,
+    # stateless task pool: worker processes are reused, so the
+    # module-global Porter memo stays warm without actor-pool startup
+    manifest_ds = ray.data.from_items([f.to_dict() for f in fragments]).map_batches(
+        build_segments_batch,
+        fn_kwargs=dict(
+            index_dir=index_dir,
+            config=config,
+            source_column=source_column,
+            name_column=name_column,
+        ),
+        batch_size=1,
+        num_cpus=1,
     )
-    if config.segment_concurrency is None:
-        # stateless task pool: worker processes are reused, so the
-        # module-global Porter memo stays warm without actor-pool startup
-        manifest_ds = frag_ds.map_batches(
-            build_segments_batch,
-            fn_kwargs=stage_kwargs,
-            batch_size=1,
-            num_cpus=1,
-        )
-    else:
-        manifest_ds = frag_ds.map_batches(
-            SegmentBuilder,
-            fn_constructor_kwargs=stage_kwargs,
-            batch_size=1,
-            concurrency=config.segment_concurrency,
-            num_cpus=1,
-        )
     _t = time.perf_counter()
     manifests = manifest_ds.to_pandas()  # tiny: one row per fragment
     phases["segments"] = time.perf_counter() - _t
@@ -188,12 +147,9 @@ def build_index(
     # 2x the CPUs so a single node is never oversubscribed with
     # bandwidth-heavy merge tasks.  Sizing happens AT THE READ
     # (override_num_blocks) — no separate repartition exchange.
-    if config.shuffle_partitions is not None:
-        shuffle_parts = config.shuffle_partitions
-    else:
-        seg_bytes = int(manifests["bytes"].sum())
-        by_data = max(1, seg_bytes // (256 * 1024 * 1024))
-        shuffle_parts = int(max(2, min(len(fragments), n_cpus * 2, max(by_data, min(8, n_cpus)))))
+    seg_bytes = int(manifests["bytes"].sum())
+    by_data = max(1, seg_bytes // (256 * 1024 * 1024))
+    shuffle_parts = int(max(2, min(len(fragments), n_cpus * 2, max(by_data, min(8, n_cpus)))))
     seg_ds = ray.data.read_parquet(
         os.path.join(index_dir, "segments"), override_num_blocks=shuffle_parts
     )
@@ -238,7 +194,7 @@ def build_index(
         "options": config.options.to_dict(),
         "bm25": {"k1": config.bm25.k1, "k3": config.bm25.k3, "b": config.bm25.b},
         "block_entries": config.block_entries,
-        "codec": config.codec,
+        "codec": "vbyte",
         "frags_per_shard": config.frags_per_shard,
         "term_buckets": term_buckets,
         "phase_sec": {k: round(v, 3) for k, v in phases.items()},

@@ -39,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .codec import decode_one, decode_one_delta
+from .codec import delta_decode, load_meta, vbyte_decode
 
 CHAMP_FILE = "champions.parquet"
 STATS_FILE = "champion_stats.json"
@@ -57,10 +57,8 @@ def build_champion_lists(
     plus champion_stats.json carrying (n_docs, avgdl, m, k1, b)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        stats = json.load(fh)
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
     avgdl = float(stats["avgdl"])
-    codec = stats.get("codec", "vbyte")
 
     def partial(batch: pa.Table) -> pa.Table:
         terms_out, ids_out, tfs_out, dls_out = [], [], [], []
@@ -74,12 +72,12 @@ def build_champion_lists(
         for i, t in enumerate(terms):
             by_term.setdefault(t, []).append(i)
         for t, rows in by_term.items():
-            ids = np.concatenate([decode_one_delta(de[i], ns[i], codec) for i in rows])
+            ids = np.concatenate([delta_decode(de[i], ns[i]) for i in rows])
             tfs = np.concatenate(
-                [decode_one(te[i], ns[i], codec).astype(np.int64) for i in rows]
+                [vbyte_decode(te[i], ns[i]).astype(np.int64) for i in rows]
             )
             dls = np.concatenate(
-                [decode_one(le[i], ns[i], codec).astype(np.int64) for i in rows]
+                [vbyte_decode(le[i], ns[i]).astype(np.int64) for i in rows]
             )
             sat = tfs / (tfs + k1 * (1 - b + b * (dls / avgdl)))
             keep = np.lexsort((ids, -sat))[: min(m, len(ids))]

@@ -9,6 +9,10 @@ little-endian groups); tfs and doc lengths are VByte-encoded directly.
 Both directions are O(max_bytes_per_value) vectorized passes (<= 10 numpy
 ops over the whole array), so encode/decode speed scales with memory
 bandwidth, not Python overhead.
+
+This is the one encoding of every segment, posting block, impact segment
+and positions sidecar cell; ``load_meta`` refuses artifacts whose metadata
+records any other codec.
 """
 
 from __future__ import annotations
@@ -151,494 +155,26 @@ def decode_concat_rows(col, n_per_row: np.ndarray, delta: bool) -> np.ndarray:
     return cum - bases
 
 
-# --------------------------------------------------------------------------
-# Byte-aligned fixed-width block codec ("fixed")
-# --------------------------------------------------------------------------
-# Each cell (posting block / segment row) is laid out as
-#   [1 header byte: width in {1,2,4,8}] [n * width bytes, little-endian]
-# with the width chosen per cell from its max value.  The classic
-# decode-speed/size trade against VByte (Lucene's Direct8/16/32 packed
-# formats make the same one): decode is a plain strided byte gather with
-# NO terminator-bit scan, so it runs at memcpy-class speed; size is within
-# ~1 byte/value of VByte for gap distributions (web-scale doc-gap streams
-# are dominated by 1-2 byte gaps where the per-cell width rounds up).
-# The codec is chosen per index at build time (BuildConfig.codec), recorded
-# in stats.json, and auto-detected by every reader; search results are
-# bit-identical across codecs (test-pinned).
-
-CODEC_NAMES = ("vbyte", "fixed", "pfor")
-
-
-def _fixed_width_of(maxima: np.ndarray) -> np.ndarray:
-    m = np.asarray(maxima, dtype=np.uint64)
-    return np.select(
-        [m < np.uint64(1) << np.uint64(8),
-         m < np.uint64(1) << np.uint64(16),
-         m < np.uint64(1) << np.uint64(32)],
-        [1, 2, 4],
-        8,
-    ).astype(np.int64)
-
-
-def fixed_encode_cells(values: np.ndarray, row_starts: np.ndarray):
-    """Encode rows of non-negative ints as fixed-width cells (one Arrow
-    binary cell per row).  Rows must be non-empty."""
-    import pyarrow as pa
-
-    v = np.asarray(values, dtype=np.uint64)
-    n = len(v)
-    row_starts = np.asarray(row_starts, dtype=np.int64)
-    n_rows = len(row_starts)
-    if n_rows == 0:
-        return pa.array([], pa.binary())
-    row_ends = np.empty(n_rows, np.int64)
-    row_ends[:-1] = row_starts[1:]
-    row_ends[-1] = n
-    lens = row_ends - row_starts
-    if n and lens.min() < 1:
-        raise ValueError("fixed codec cells must be non-empty rows")
-    rmax = np.maximum.reduceat(v, row_starts) if n else np.zeros(n_rows, np.uint64)
-    width = _fixed_width_of(rmax)
-    cell_bytes = 1 + lens * width
-    cell_offsets = np.concatenate(([0], np.cumsum(cell_bytes)))
-    total = int(cell_offsets[-1])
-    if total > np.iinfo(np.int32).max:
-        raise ValueError(
-            f"encoded payload ({total} bytes) exceeds the 2 GiB binary-offset "
-            "limit for one merge group; increase term_buckets"
-        )
-    out = np.zeros(total, dtype=np.uint8)
-    out[cell_offsets[:-1]] = width.astype(np.uint8)
-    if n:
-        v8 = v.astype("<u8").view(np.uint8).reshape(n, 8)
-        row_of = np.repeat(np.arange(n_rows), lens)
-        pos = (
-            cell_offsets[row_of]
-            + 1
-            + (np.arange(n) - row_starts[row_of]) * width[row_of]
-        )
-        for w in (1, 2, 4, 8):
-            sel = width[row_of] == w
-            if not sel.any():
-                continue
-            idx = pos[sel]
-            src = v8[sel]
-            for j in range(w):
-                out[idx + j] = src[:, j]
-    return pa.Array.from_buffers(
-        pa.binary(),
-        n_rows,
-        [None, pa.py_buffer(cell_offsets.astype(np.int32).tobytes()), pa.py_buffer(out.tobytes())],
-    )
-
-
-def fixed_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Decode ONE fixed-width cell (header byte + payload)."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    if data.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    w = int(data[0])
-    payload = data[1:]
-    if w not in (1, 2, 4, 8) or len(payload) % w:
-        raise ValueError(f"corrupt fixed cell: width={w}, payload={len(payload)}")
-    n = len(payload) // w
-    if count is not None and n != count:
-        raise ValueError(f"decoded {n} values, expected {count}")
-    out8 = np.zeros((n, 8), dtype=np.uint8)
-    out8[:, :w] = payload.reshape(n, w)
-    return out8.view("<u8").ravel()
-
-
-_WIDTH_DTYPE = {1: np.dtype(np.uint8), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
-
-
-def _gather_fixed(data: np.ndarray, byte_starts: np.ndarray, w: int) -> np.ndarray:
-    """Gather ``len(byte_starts)`` little-endian ``w``-byte values out of
-    ``data`` with ONE fancy-index + a zero-copy dtype view."""
-    m = len(byte_starts)
-    if w == 1:
-        return data[byte_starts].astype(np.uint64)
-    idx = (byte_starts[:, None] + np.arange(w, dtype=np.int64)).ravel()
-    return data[idx].view(_WIDTH_DTYPE[w]).astype(np.uint64, copy=False).reshape(m)
-
-
-def fixed_decode_cells(col, n_per_row: np.ndarray) -> np.ndarray:
-    """Decode a column of fixed-width cells into one flat uint64 array
-    (values in row order) — one byte gather per width actually present.
-
-    Fast path: when every cell shares one width (the normal case for
-    doc-gap streams, where 1- or 2-byte widths dominate) the whole decode
-    is a single gather + little-endian view — no per-value branch, no
-    terminator-bit scan."""
-    import pyarrow as pa
-
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset : arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    n_rows = len(arr)
-    lens = np.asarray(n_per_row, dtype=np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.uint64)
-    cell_starts = offs[:-1]
-    width = data[cell_starts].astype(np.int64)
-    row_ends = np.cumsum(lens)
-    row_out_starts = row_ends - lens
-    w0 = int(width[0])
-    if (width == w0).all():
-        # single-width fast path: value byte-starts across all cells
-        val_row = np.repeat(np.arange(n_rows), lens)
-        within = np.arange(total, dtype=np.int64) - np.repeat(row_out_starts, lens)
-        byte_starts = cell_starts[val_row] + 1 + within * w0
-        return _gather_fixed(data, byte_starts, w0)
-    out = np.empty(total, dtype=np.uint64)
-    for w in (1, 2, 4, 8):
-        rows = np.flatnonzero(width == w)
-        if not len(rows):
-            continue
-        rl = lens[rows]
-        m = int(rl.sum())
-        if m == 0:
-            continue
-        grp_ends = np.cumsum(rl)
-        grp_starts = grp_ends - rl
-        within = np.arange(m, dtype=np.int64) - np.repeat(grp_starts, rl)
-        byte_starts = np.repeat(cell_starts[rows] + 1, rl) + within * w
-        vals = _gather_fixed(data, byte_starts, w)
-        out_pos = np.repeat(row_out_starts[rows], rl) + within
-        out[out_pos] = vals
-    return out
-
-
-def encode_cells(values: np.ndarray, row_starts: np.ndarray, delta: bool, codec: str = "vbyte"):
-    """Codec-dispatching row encoder (the writer-side seam): VByte or
-    fixed-width cells, with the same per-row delta-gapping semantics."""
-    if codec == "vbyte":
-        return encode_rows(values, row_starts, delta)
-    if codec not in ("fixed", "pfor"):
-        raise ValueError(f"unknown postings codec {codec!r}")
-    if delta:
-        v = np.asarray(values, dtype=np.int64)
-        gaps = v.copy()
-        if len(v):
-            gaps[1:] -= v[:-1]
-            gaps[row_starts] = v[row_starts]
-            if len(v) > 1 and gaps.min() < 0:
-                raise ValueError("values must be ascending within each row")
-        payload = gaps.astype(np.uint64)
-    else:
-        payload = np.asarray(values, dtype=np.uint64)
-    enc = fixed_encode_cells if codec == "fixed" else pfor_encode_cells
-    return enc(payload, np.asarray(row_starts, dtype=np.int64))
-
-
-def decode_cells(col, n_per_row: np.ndarray, delta: bool, codec: str = "vbyte") -> np.ndarray:
-    """Codec-dispatching row decoder — inverse of ``encode_cells``."""
-    if codec == "vbyte":
-        return decode_concat_rows(col, n_per_row, delta)
-    if codec not in ("fixed", "pfor"):
-        raise ValueError(f"unknown postings codec {codec!r}")
-    dec = fixed_decode_cells if codec == "fixed" else pfor_decode_cells
-    vals = dec(col, n_per_row)
-    if not delta:
-        return vals.astype(np.int64)
-    n_per_row = np.asarray(n_per_row, dtype=np.int64)
-    cum = np.cumsum(vals.astype(np.int64))
-    row_ends = np.cumsum(n_per_row)
-    bases = np.repeat(np.concatenate(([0], cum[row_ends[:-1] - 1])), n_per_row)
-    return cum - bases
-
-
-def decode_one(buf: bytes, count: int | None, codec: str) -> np.ndarray:
-    """Decode one non-delta cell with the given codec."""
-    if codec == "vbyte":
-        return vbyte_decode(buf, count)
-    if codec == "fixed":
-        return fixed_decode(buf, count)
-    return pfor_decode(buf, count)
-
-
-def decode_one_delta(buf: bytes, count: int | None, codec: str) -> np.ndarray:
-    """Decode one delta-gapped cell (ascending ids) with the given codec."""
-    gaps = decode_one(buf, count, codec)
-    return np.cumsum(gaps.astype(np.int64))
-
-
-def index_codec(index_dir: str) -> str:
-    """The postings codec an index was built with (stats.json; indexes
-    written before the codec field default to vbyte)."""
-    import json
-    import os
-
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        return json.load(fh).get("codec", "vbyte")
-
-
-def delta_encode(doc_ids: np.ndarray) -> bytes:
-    """Delta-gap (strictly ascending ids) then VByte."""
-    ids = np.asarray(doc_ids, dtype=np.int64)
-    if ids.size == 0:
-        return b""
-    gaps = np.empty_like(ids)
-    gaps[0] = ids[0]
-    np.subtract(ids[1:], ids[:-1], out=gaps[1:])
-    if ids.size > 1 and gaps[1:].min() <= 0:
-        raise ValueError("doc_ids must be strictly ascending")
-    return vbyte_encode(gaps.astype(np.uint64))
-
-
 def delta_decode(buf: bytes, count: int | None = None) -> np.ndarray:
+    """Decode ONE delta-gapped cell back to its ascending ids."""
     gaps = vbyte_decode(buf, count)
     return np.cumsum(gaps.astype(np.int64))
 
 
-# ---------------------------------------------------------------------------
-# "pfor" codec — patched frame-of-reference (PForDelta, Zukowski et al.
-# ICDE 2006 / NewPFD, Yan et al. WWW 2009 — public designs).  One frame
-# per cell: every value stores its low ``b`` bits in a dense little-endian
-# bit-packed payload (b chosen as the ~87.5th percentile bit-length, so at
-# most ~1/8 of values overflow), and the overflowing "exceptions" patch
-# their high bits back in from a (position, remainder) sidecar.  All
-# kernels are vectorized per distinct b (<= 64 groups), values padded to a
-# multiple of 8 per cell so every payload is byte-aligned and one
-# packbits/unpackbits pass serves a whole batch.
-#
-# Cell layout (little-endian):
-#   u32 n_vals | u8 b | u32 n_exc
-#   payload: ceil(n_vals/8) * b bytes        (low b bits, LE bit order)
-#   positions: 4 * n_exc bytes (u32)         (indices into the cell)
-#   remainders: VByte stream of n_exc values (v >> b, always >= 1)
-# ---------------------------------------------------------------------------
+def load_meta(path: str) -> dict:
+    """Read a JSON metadata file that may record the postings codec
+    (``stats.json``, ``positions_stats.json``, or a ``build_codec.json`` /
+    ``positions_codec.json`` resume marker left by an older build) and
+    refuse it unless that codec is delta+VByte, the only encoding this
+    engine reads.  Files without a codec field predate it and are VByte."""
+    import json
 
-_PFOR_HEADER = 9
-_BLEN_THRESHOLDS = (np.uint64(1) << np.arange(1, 64, dtype=np.uint64))
-
-
-def _bit_lengths(v: np.ndarray) -> np.ndarray:
-    """bit_length per value (0 for 0), vectorized."""
-    bl = np.searchsorted(_BLEN_THRESHOLDS, v, side="right").astype(np.int64) + 1
-    bl[v == 0] = 0
-    return bl
-
-
-def _seg_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s+l) for each (s, l) — the segmented-index
-    workhorse for gather/scatter over per-cell byte regions."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
-    return np.repeat(np.asarray(starts, dtype=np.int64), lens) + within
-
-
-def pfor_encode_cells(values: np.ndarray, row_starts: np.ndarray):
-    """Encode rows of non-negative ints as PFor cells (one Arrow binary
-    cell per row).  Rows must be non-empty."""
-    import pyarrow as pa
-
-    v = np.asarray(values, dtype=np.uint64)
-    n = len(v)
-    row_starts = np.asarray(row_starts, dtype=np.int64)
-    n_rows = len(row_starts)
-    if n_rows == 0:
-        return pa.array([], pa.binary())
-    row_ends = np.empty(n_rows, np.int64)
-    row_ends[:-1] = row_starts[1:]
-    row_ends[-1] = n
-    lens = row_ends - row_starts
-    if n and lens.min() < 1:
-        raise ValueError("pfor codec cells must be non-empty rows")
-    if lens.max() >= 1 << 32:
-        raise ValueError("pfor cell longer than 2^32 values")
-    row_of = np.repeat(np.arange(n_rows), lens)
-
-    # b per row: the ceil(0.875*(n-1))-th smallest bit length (<= 1/8 of
-    # the row overflows), capped at 63 so remainders stay >= 1
-    blen = _bit_lengths(v)
-    order = np.lexsort((blen, row_of))
-    sorted_blen = blen[order]
-    pick = row_starts + np.ceil(0.875 * (lens - 1)).astype(np.int64)
-    b = np.minimum(sorted_blen[pick], 63).astype(np.uint8)
-    b_rep = b[row_of].astype(np.uint64)
-
-    exc_mask = blen > b_rep.astype(np.int64)
-    n_exc = np.add.reduceat(exc_mask.astype(np.int64), row_starts)
-    remainders = v[exc_mask] >> b_rep[exc_mask]
-    rem_bytes_all, rem_ends = vbyte_encode_offsets(remainders)
-    exc_cum = np.concatenate(([0], np.cumsum(n_exc)))
-    if len(remainders):
-        # per-row remainder byte ranges out of the single vbyte stream
-        rem_row_end = np.where(
-            n_exc > 0, rem_ends[np.maximum(exc_cum[1:] - 1, 0)], 0
-        )
-        rem_row_start = np.where(
-            exc_cum[:-1] > 0, rem_ends[np.maximum(exc_cum[:-1] - 1, 0)], 0
-        )
-        rem_len = np.where(n_exc > 0, rem_row_end - rem_row_start, 0)
-    else:
-        rem_row_start = rem_len = np.zeros(n_rows, dtype=np.int64)
-
-    pad_lens = ((lens + 7) // 8) * 8
-    payload_bytes = (pad_lens // 8) * b.astype(np.int64)
-    cell_bytes = _PFOR_HEADER + payload_bytes + 4 * n_exc + rem_len
-    cell_offsets = np.concatenate(([0], np.cumsum(cell_bytes)))
-    total = int(cell_offsets[-1])
-    if total > np.iinfo(np.int32).max:
+    with open(path) as fh:
+        meta = json.load(fh)
+    codec = meta.get("codec", "vbyte")
+    if codec != "vbyte":
         raise ValueError(
-            f"encoded payload ({total} bytes) exceeds the 2 GiB binary-offset "
-            "limit for one merge group; increase term_buckets"
+            f"{path} records postings codec {codec!r}; only 'vbyte' is "
+            "supported — rebuild the index"
         )
-    out = np.zeros(total, dtype=np.uint8)
-
-    # headers
-    starts_u8 = cell_offsets[:-1]
-    nv = lens.astype("<u4").view(np.uint8).reshape(n_rows, 4)
-    ne = n_exc.astype("<u4").view(np.uint8).reshape(n_rows, 4)
-    for j in range(4):
-        out[starts_u8 + j] = nv[:, j]
-        out[starts_u8 + 5 + j] = ne[:, j]
-    out[starts_u8 + 4] = b
-
-    # payload: per distinct b, pack the group's PADDED low bits in one pass
-    low = v & ((np.uint64(1) << b_rep) - np.uint64(1))
-    pay_starts = starts_u8 + _PFOR_HEADER
-    for b_val in np.unique(b):
-        bi = int(b_val)
-        rows_sel = np.flatnonzero(b == b_val)
-        if bi == 0:
-            continue  # all-zero low bits, payload bytes stay 0... but b=0 means payload 0 bytes anyway
-        # padded group values in row order
-        g_pad = pad_lens[rows_sel]
-        g_total = int(g_pad.sum())
-        vals_g = np.zeros(g_total, dtype=np.uint64)
-        g_pad_ends = np.cumsum(g_pad)
-        g_pad_starts = g_pad_ends - g_pad
-        # real-value positions inside the padded group stream
-        real_idx = _seg_arange(g_pad_starts, lens[rows_sel])
-        sel_mask = b_rep == np.uint64(bi)
-        vals_g[real_idx] = low[sel_mask]
-        bits = np.empty((g_total, bi), dtype=np.uint8)
-        for j in range(bi):
-            bits[:, j] = (vals_g >> np.uint64(j)) & np.uint64(1)
-        packed = np.packbits(bits.reshape(-1), bitorder="little")
-        dst = _seg_arange(pay_starts[rows_sel], payload_bytes[rows_sel])
-        out[dst] = packed
-
-    # exception positions (u32, within-row index) + remainder streams
-    if int(n_exc.sum()):
-        pos_starts = pay_starts + payload_bytes
-        within = np.arange(n, dtype=np.int64) - row_starts[row_of]
-        exc_pos = within[exc_mask].astype("<u4").view(np.uint8).reshape(-1, 4)
-        exc_row = row_of[exc_mask]
-        exc_within = (
-            np.arange(len(exc_row), dtype=np.int64) - exc_cum[:-1][exc_row]
-        )
-        dst0 = pos_starts[exc_row] + 4 * exc_within
-        for j in range(4):
-            out[dst0 + j] = exc_pos[:, j]
-        rem_dst = _seg_arange(pos_starts + 4 * n_exc, rem_len)
-        rem_src = _seg_arange(rem_row_start, rem_len)
-        out[rem_dst] = rem_bytes_all[rem_src]
-
-    return pa.Array.from_buffers(
-        pa.binary(),
-        n_rows,
-        [None, pa.py_buffer(cell_offsets.astype(np.int32).tobytes()),
-         pa.py_buffer(out.tobytes())],
-    )
-
-
-def _pfor_headers(data: np.ndarray, starts: np.ndarray):
-    nv = (
-        data[starts].astype(np.int64)
-        | data[starts + 1].astype(np.int64) << 8
-        | data[starts + 2].astype(np.int64) << 16
-        | data[starts + 3].astype(np.int64) << 24
-    )
-    b = data[starts + 4].astype(np.int64)
-    ne = (
-        data[starts + 5].astype(np.int64)
-        | data[starts + 6].astype(np.int64) << 8
-        | data[starts + 7].astype(np.int64) << 16
-        | data[starts + 8].astype(np.int64) << 24
-    )
-    return nv, b, ne
-
-
-def pfor_decode_cells(col, n_per_row: np.ndarray) -> np.ndarray:
-    """Decode a batch of PFor cells -> one flat uint64 array."""
-    import pyarrow as pa
-
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    n_rows = len(arr)
-    n_per_row = np.asarray(n_per_row, dtype=np.int64)
-    if n_rows == 0:
-        return np.empty(0, dtype=np.uint64)
-    off_dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-    offs = np.frombuffer(arr.buffers()[1], dtype=off_dtype)[
-        arr.offset : arr.offset + n_rows + 1
-    ].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)
-    starts = offs[:-1]
-
-    nv, b, ne = _pfor_headers(data, starts)
-    if not np.array_equal(nv, n_per_row):
-        raise ValueError("pfor cell count mismatch vs n_per_row")
-    pad = ((nv + 7) // 8) * 8
-    payload_bytes = (pad // 8) * b
-    pay_starts = starts + _PFOR_HEADER
-
-    out_ends = np.cumsum(nv)
-    out_starts = out_ends - nv
-    out = np.zeros(int(out_ends[-1]), dtype=np.uint64)
-
-    for b_val in np.unique(b):
-        bi = int(b_val)
-        if bi == 0:
-            continue
-        rows_sel = np.flatnonzero(b == b_val)
-        src = _seg_arange(pay_starts[rows_sel], payload_bytes[rows_sel])
-        bits = np.unpackbits(data[src], bitorder="little")
-        g_total = len(bits) // bi
-        vals_g = np.zeros(g_total, dtype=np.uint64)
-        bm = bits.reshape(g_total, bi)
-        for j in range(bi):
-            vals_g |= bm[:, j].astype(np.uint64) << np.uint64(j)
-        g_pad = pad[rows_sel]
-        g_pad_ends = np.cumsum(g_pad)
-        real_idx = _seg_arange(g_pad_ends - g_pad, nv[rows_sel])
-        dst = _seg_arange(out_starts[rows_sel], nv[rows_sel])
-        out[dst] = vals_g[real_idx]
-
-    total_exc = int(ne.sum())
-    if total_exc:
-        pos_starts = pay_starts + payload_bytes
-        pos_src = _seg_arange(pos_starts, 4 * ne)
-        pb = data[pos_src].reshape(total_exc, 4).astype(np.int64)
-        exc_within = pb[:, 0] | pb[:, 1] << 8 | pb[:, 2] << 16 | pb[:, 3] << 24
-        rem_starts = pos_starts + 4 * ne
-        rem_lens = offs[1:] - rem_starts
-        rem_stream = data[_seg_arange(rem_starts, rem_lens)]
-        remainders = vbyte_decode(rem_stream.tobytes(), count=total_exc)
-        exc_row = np.repeat(np.arange(n_rows), ne)
-        gidx = out_starts[exc_row] + exc_within
-        out[gidx] |= remainders << np.asarray(b, np.uint64)[exc_row]
-    return out
-
-
-def pfor_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Decode ONE PFor cell."""
-    import pyarrow as pa
-
-    data = np.frombuffer(buf, dtype=np.uint8)
-    if data.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    nv = int(data[0]) | int(data[1]) << 8 | int(data[2]) << 16 | int(data[3]) << 24
-    if count is not None and nv != count:
-        raise ValueError(f"decoded {nv} values, expected {count}")
-    arr = pa.array([buf], pa.binary())
-    return pfor_decode_cells(arr, np.asarray([nv], dtype=np.int64))
+    return meta

@@ -78,7 +78,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .codec import decode_cells, decode_concat_rows, encode_rows
+from .codec import decode_concat_rows, encode_rows, load_meta
 from .sharded_search import _topk_table, merge_topk, run_shards
 
 _POSTING_COLS = ["term", "n", "docs_enc", "tfs_enc", "dls_enc"]
@@ -97,15 +97,15 @@ def _df_for_terms(index_dir: str, terms: pa.Array) -> dict[str, int]:
 
 def _block_impacts_micros(
     batch: pa.Table, index_dir: str, n_docs: int, avgdl: float,
-    k1: float, b: float, codec: str,
+    k1: float, b: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-> (doc_ids, imp_micros, row_lens) for every posting in the batch's
     blocks, flattened in block-row order.  One vectorized decode + one
     float64 kernel; negative contributions clamp to 0 micros."""
     lens = np.asarray(batch["n"], dtype=np.int64)
-    ids = decode_cells(batch["docs_enc"], lens, delta=True, codec=codec)
-    tfs = decode_cells(batch["tfs_enc"], lens, delta=False, codec=codec).astype(np.float64)
-    dls = decode_cells(batch["dls_enc"], lens, delta=False, codec=codec).astype(np.float64)
+    ids = decode_concat_rows(batch["docs_enc"], lens, delta=True)
+    tfs = decode_concat_rows(batch["tfs_enc"], lens, delta=False).astype(np.float64)
+    dls = decode_concat_rows(batch["dls_enc"], lens, delta=False).astype(np.float64)
     df_map = _df_for_terms(index_dir, batch["term"])
     dfs_row = np.asarray([df_map[t] for t in batch["term"].to_pylist()], dtype=np.float64)
     dfs = np.repeat(dfs_row, lens)
@@ -131,16 +131,14 @@ def build_impact_index(
       impact_meta.json  {quant_levels, max_micros, num_buckets, n_docs,
                          avgdl, k1, b, n_segments, n_postings}
     """
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        stats = json.load(f)
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
     n_docs, avgdl = stats["n_docs"], stats["avgdl"]
     k1, b = stats["bm25"]["k1"], stats["bm25"]["b"]
-    codec = stats.get("codec", "vbyte")
     post_dir = os.path.join(index_dir, "postings")
 
     def batch_max(batch: pa.Table) -> pa.Table:
         _ids, micros, _lens = _block_impacts_micros(
-            batch, index_dir, n_docs, avgdl, k1, b, codec)
+            batch, index_dir, n_docs, avgdl, k1, b)
         m = int(micros.max()) if len(micros) else 0
         return pa.table({"m": pa.array([m], pa.int64())})
 
@@ -162,7 +160,7 @@ def build_impact_index(
         ascending, so each (row, q) slice is ascending too and encodes
         directly; the bucket groupby below only merges across blocks."""
         ids, micros, lens = _block_impacts_micros(
-            batch, index_dir, n_docs, avgdl, k1, b, codec)
+            batch, index_dir, n_docs, avgdl, k1, b)
         s = np.floor(np.sqrt(micros.astype(np.float64))).astype(np.int64)
         qs = 1 + s * q_span // s_max
         row_idx = np.repeat(np.arange(len(lens)), lens)
@@ -466,11 +464,9 @@ def verify_impact_index(index_dir: str, impact_dir: str) -> dict:
     from ray.data.aggregate import Sum
 
     meta = read_impact_meta(impact_dir)
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        stats = json.load(f)
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
     n_docs, avgdl = stats["n_docs"], stats["avgdl"]
     k1, b = stats["bm25"]["k1"], stats["bm25"]["b"]
-    codec = stats.get("codec", "vbyte")
     q_span = meta["quant_levels"] - 1
     s_max = max(int(np.floor(np.sqrt(float(meta["max_micros"])))), 1)
 
@@ -495,7 +491,7 @@ def verify_impact_index(index_dir: str, impact_dir: str) -> dict:
 
     def expected(batch: pa.Table) -> pa.Table:
         ids, micros, lens = _block_impacts_micros(
-            batch, index_dir, n_docs, avgdl, k1, b, codec)
+            batch, index_dir, n_docs, avgdl, k1, b)
         s = np.floor(np.sqrt(micros.astype(np.float64))).astype(np.int64)
         qs = 1 + s * q_span // s_max
         row_idx = np.repeat(np.arange(len(lens)), lens)

@@ -19,7 +19,6 @@ blocks by doc range without decoding them).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -28,7 +27,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from .codec import decode_one, decode_one_delta
+from .codec import delta_decode, load_meta, vbyte_decode
 
 _BLOCK_COLS = [
     "term", "shard", "block_no", "n", "first_doc", "last_doc",
@@ -47,14 +46,13 @@ class Block:
     ub_tfn: float
     lb_tfn: float
     ub_logtf: float
-    codec: str = "vbyte"
     _decoded: tuple | None = field(default=None, repr=False)
 
     def decode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._decoded is None:
-            ids = decode_one_delta(self.docs_enc, self.n, self.codec)
-            tfs = decode_one(self.tfs_enc, self.n, self.codec).astype(np.int64)
-            dls = decode_one(self.dls_enc, self.n, self.codec).astype(np.int64)
+            ids = delta_decode(self.docs_enc, self.n)
+            tfs = vbyte_decode(self.tfs_enc, self.n).astype(np.int64)
+            dls = vbyte_decode(self.dls_enc, self.n).astype(np.int64)
             self._decoded = (ids, tfs, dls)
         return self._decoded
 
@@ -75,7 +73,7 @@ class TermPostings:
         )
 
 
-def _blocks_from_table(tbl: pa.Table, codec: str = "vbyte") -> dict[str, list[Block]]:
+def _blocks_from_table(tbl: pa.Table) -> dict[str, list[Block]]:
     out: dict[str, list[Block]] = {}
     terms = tbl["term"].to_pylist()
     cols = {c: tbl[c].to_pylist() for c in _BLOCK_COLS if c not in ("term",)}
@@ -91,7 +89,6 @@ def _blocks_from_table(tbl: pa.Table, codec: str = "vbyte") -> dict[str, list[Bl
                 ub_tfn=cols["ub_tfn"][i],
                 lb_tfn=cols["lb_tfn"][i],
                 ub_logtf=cols["ub_logtf"][i],
-                codec=codec,
             )
         )
     for blocks in out.values():
@@ -112,11 +109,9 @@ class IndexReader:
         ranking of that moment."""
         self.index_dir = index_dir
         self.as_of = as_of
-        with open(os.path.join(index_dir, "stats.json")) as fh:
-            self.stats = json.load(fh)
+        self.stats = load_meta(os.path.join(index_dir, "stats.json"))
         self.n_docs: int = self.stats["n_docs"]
         self.avgdl: float = self.stats["avgdl"]
-        self.codec: str = self.stats.get("codec", "vbyte")
 
         from .terms_io import read_terms_table
 
@@ -135,7 +130,7 @@ class IndexReader:
         self._dataset = None
         if preload:
             tbl = pq.read_table(os.path.join(index_dir, "postings"))
-            self._preloaded = _blocks_from_table(tbl, self.codec)
+            self._preloaded = _blocks_from_table(tbl)
         else:
             self._dataset = pads.dataset(os.path.join(index_dir, "postings"))
 
@@ -196,7 +191,7 @@ class IndexReader:
             blocks = self._preloaded.get(term, [])
         else:
             tbl = self._dataset.to_table(filter=pads.field("term") == term)
-            blocks = _blocks_from_table(tbl, self.codec).get(term, [])
+            blocks = _blocks_from_table(tbl).get(term, [])
         return TermPostings(term=term, df=df, blocks=blocks)
 
     def get_many(self, terms: list[str]) -> list[TermPostings]:
@@ -206,7 +201,7 @@ class IndexReader:
             tbl = self._dataset.to_table(
                 filter=pads.field("term").isin([t for t in terms if t in self._df])
             )
-            found = _blocks_from_table(tbl, self.codec)
+            found = _blocks_from_table(tbl)
             return [
                 TermPostings(t, self._df[t], found.get(t, []))
                 for t in terms

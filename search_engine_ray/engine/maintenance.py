@@ -39,6 +39,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .codec import decode_concat_rows, load_meta
+
 TOMBSTONES_FILE = "tombstones.parquet"
 
 
@@ -271,9 +273,7 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
 
     from .merge import POSTINGS_SCHEMA, encode_blocks, term_bucket_array
 
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        stats = json.load(fh)
-    codec = stats.get("codec", "vbyte")
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
     names = tombstoned_names(index_dir)
     if overwrite and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
@@ -395,8 +395,6 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
         return batch.append_column("bucket", term_bucket_array(term_col, term_buckets))
 
     def compact_group(group: pa.Table) -> pa.Table:
-        from .codec import decode_cells
-
         if group.num_rows == 0:
             return POSTINGS_SCHEMA.empty_table()
         shard = group["shard"][0].as_py()
@@ -412,9 +410,9 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
         codes = codes[order]
 
         row_lens = np.asarray(tbl["n"], dtype=np.int64)
-        doc_ids = decode_cells(tbl["docs_enc"], row_lens, delta=True, codec=codec)
-        tfs = decode_cells(tbl["tfs_enc"], row_lens, delta=False, codec=codec)
-        dls = decode_cells(tbl["dls_enc"], row_lens, delta=False, codec=codec)
+        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True)
+        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
+        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
 
         new_ids, keep = _remap_ids(doc_ids)
         entry_codes = np.repeat(codes, row_lens)[keep]
@@ -431,7 +429,7 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
 
         return encode_blocks(
             terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, new_avgdl, codec=codec,
+            shard, bk, k1, b, new_avgdl,
         )
 
     # postings rewrite
@@ -551,20 +549,13 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
 
     stats = {}
     for side, d in (("a", a_dir), ("b", b_dir)):
-        with open(os.path.join(d, "stats.json")) as fh:
-            stats[side] = json.load(fh)
+        stats[side] = load_meta(os.path.join(d, "stats.json"))
     for key in ("options", "bm25", "block_entries"):
         if stats["a"][key] != stats["b"][key]:
             raise ValueError(
                 f"merge_indexes requires matching {key}: "
                 f"{stats['a'][key]!r} != {stats['b'][key]!r}"
             )
-    codec = stats["a"].get("codec", "vbyte")
-    if codec != stats["b"].get("codec", "vbyte"):
-        raise ValueError(
-            "merge_indexes requires matching postings codec: "
-            f"{codec!r} != {stats['b'].get('codec', 'vbyte')!r}"
-        )
     if overwrite and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir, exist_ok=False)
@@ -610,8 +601,6 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
         )
 
     def rewrite_group(group: pa.Table) -> pa.Table:
-        from .codec import decode_cells
-
         if group.num_rows == 0:
             return POSTINGS_SCHEMA.empty_table()
         shard = group["shard"][0].as_py()
@@ -628,9 +617,9 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
         codes = codes[order]
 
         row_lens = np.asarray(tbl["n"], dtype=np.int64)
-        doc_ids = decode_cells(tbl["docs_enc"], row_lens, delta=True, codec=codec) + doc_off
-        tfs = decode_cells(tbl["tfs_enc"], row_lens, delta=False, codec=codec)
-        dls = decode_cells(tbl["dls_enc"], row_lens, delta=False, codec=codec)
+        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True) + doc_off
+        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
+        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
 
         entry_codes = np.repeat(codes, row_lens)
         change = np.empty(len(entry_codes), dtype=bool)
@@ -642,7 +631,7 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
 
         return encode_blocks(
             terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, new_avgdl, codec=codec,
+            shard, bk, k1, b, new_avgdl,
         )
 
     _t = time.perf_counter()
@@ -762,19 +751,13 @@ def fsck_index(index_dir: str) -> dict:
     ships once via ray.put (8 B/doc — the same footprint precedent as
     the filtered-retrieval mask and compaction remap; at 10^12-doc scale
     it shrinks to per-shard slices like those do)."""
-    import json
-
     import numpy as np
     import pyarrow.dataset as pads
     import ray
     import ray.data
 
-    from .codec import decode_cells
-
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        stats = json.load(fh)
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
     n_docs = stats["n_docs"]
-    codec = stats.get("codec", "vbyte")
     k1 = stats["bm25"]["k1"]
     b = stats["bm25"]["b"]
     avgdl = stats["avgdl"]
@@ -797,9 +780,9 @@ def fsck_index(index_dir: str) -> dict:
         dl_map = ray.get(dl_ref)
         viol = 0
         row_lens = np.asarray(batch["n"], dtype=np.int64)
-        doc_ids = decode_cells(batch["docs_enc"], row_lens, delta=True, codec=codec)
-        tfs = decode_cells(batch["tfs_enc"], row_lens, delta=False, codec=codec)
-        dls = decode_cells(batch["dls_enc"], row_lens, delta=False, codec=codec)
+        doc_ids = decode_concat_rows(batch["docs_enc"], row_lens, delta=True)
+        tfs = decode_concat_rows(batch["tfs_enc"], row_lens, delta=False)
+        dls = decode_concat_rows(batch["dls_enc"], row_lens, delta=False)
         starts = np.concatenate(([0], np.cumsum(row_lens)[:-1]))
         ends = np.cumsum(row_lens)
         firsts = np.asarray(batch["first_doc"], dtype=np.int64)
@@ -994,15 +977,10 @@ def upsert_docs(
     verified by test_upsert_docs.  A later ``compact_index`` drops the
     dead versions physically.  Returns the post-append stats dict plus
     ``n_replaced``."""
-    from ..config import BuildConfig
     from .build import build_index
 
-    if config is None:
-        # adopt the index's recorded postings codec so a default-config
-        # upsert never trips the build's codec-mix guard on a fixed index
-        from .codec import index_codec
-
-        config = BuildConfig(codec=index_codec(index_dir))
+    # refuse an index the append cannot extend before tombstoning anything
+    load_meta(os.path.join(index_dir, "stats.json"))
     upd = pq.read_table(update_file, columns=[name_column])
     names = [str(n) for n in upd[name_column].to_pylist()]
     reader_names = set()

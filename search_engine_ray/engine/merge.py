@@ -39,7 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import BuildConfig
-from .codec import decode_cells, encode_cells
+from .codec import decode_concat_rows, encode_rows
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -83,10 +83,6 @@ def add_merge_keys(batch: pa.Table, frags_per_shard: int, term_buckets: int) -> 
     return batch.append_column("shard", shard).append_column("bucket", bucket)
 
 
-
-
-
-
 def encode_blocks(
     terms_u: pa.Array,
     term_flat_starts: "np.ndarray",
@@ -99,10 +95,9 @@ def encode_blocks(
     k1: float,
     b: float,
     avgdl: float,
-    codec: str = "vbyte",
 ) -> pa.Table:
     """Vectorized block layout + score-bound metadata + per-block
-    delta/codec encode for per-term flat posting ranges (globally
+    delta+VByte encode for per-term flat posting ranges (globally
     docID-sorted within each term).  Shared by the build merge and index
     compaction."""
     bk = block_entries
@@ -123,9 +118,9 @@ def encode_blocks(
     lb_tfn = np.minimum.reduceat(tfn, blk_starts)
     ub_logtf = np.maximum.reduceat(logtf, blk_starts)
 
-    docs_enc = encode_cells(doc_ids, blk_starts, delta=True, codec=codec)
-    tfs_enc = encode_cells(tfs, blk_starts, delta=False, codec=codec)
-    dls_enc = encode_cells(dls, blk_starts, delta=False, codec=codec)
+    docs_enc = encode_rows(doc_ids, blk_starts, delta=True)
+    tfs_enc = encode_rows(tfs, blk_starts, delta=False)
+    dls_enc = encode_rows(dls, blk_starts, delta=False)
     return pa.table(
         {
             "term": terms_u.take(pa.array(bt)),
@@ -150,7 +145,6 @@ def make_merge_fn(config: BuildConfig, avgdl: float):
     k1 = config.bm25.k1
     b = config.bm25.b
     bk = config.block_entries
-    codec = config.codec
 
     def _passthrough(g1: pa.Table, shard: int) -> pa.Table:
         """Blocks for single-input-row tail terms WITHOUT decode/re-encode:
@@ -234,9 +228,9 @@ def make_merge_fn(config: BuildConfig, avgdl: float):
 
         # decode the whole group's compressed rows in three vectorized passes
         row_lens = np.asarray(tbl["df_local"], dtype=np.int64)
-        doc_ids = decode_cells(tbl["docs_enc"], row_lens, delta=True, codec=codec)
-        tfs = decode_cells(tbl["tfs_enc"], row_lens, delta=False, codec=codec)
-        dls = decode_cells(tbl["dls_enc"], row_lens, delta=False, codec=codec)
+        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True)
+        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
+        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
 
         # per-term flat ranges
         row_term_change = np.empty(len(codes), dtype=bool)
@@ -252,7 +246,7 @@ def make_merge_fn(config: BuildConfig, avgdl: float):
         # vectorized block layout + encode (shared with compaction)
         merged_tbl = encode_blocks(
             terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, avgdl, codec=codec,
+            shard, bk, k1, b, avgdl,
         )
         if pt_table is not None:
             return pa.concat_tables([pt_table, merged_tbl])

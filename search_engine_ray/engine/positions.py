@@ -46,7 +46,7 @@ import pyarrow.compute as pc
 from ..config import IndexOptions
 from ..text.tokenizer import normalize_query_word
 from ..text.vectorized import tokenize_batch
-from .codec import CODEC_NAMES, decode_one, encode_cells
+from .codec import delta_decode, encode_rows, load_meta, vbyte_decode
 from .reader import Fragment, plan_fragments, read_fragment
 from .segments import _atomic_write_parquet
 
@@ -72,7 +72,6 @@ def build_fragment_positions(
     texts: pa.Array,
     frag_id: int,
     options: IndexOptions,
-    codec: str = "vbyte",
 ) -> pa.Table:
     """One fragment's positional rows (pure function, fully vectorized).
 
@@ -116,9 +115,9 @@ def build_fragment_positions(
     df_local = np.diff(np.append(term_starts, len(pair_term))).astype(np.int32)
 
     # docs: delta restarting per term
-    docs_enc = encode_cells(pair_doc, term_starts, delta=True, codec=codec)
+    docs_enc = encode_rows(pair_doc, term_starts, delta=True)
 
-    npos_enc = encode_cells(npos, term_starts, delta=False, codec=codec)
+    npos_enc = encode_rows(npos, term_starts, delta=False)
 
     # positions: delta restarting per (term, doc) PAIR but sliced per TERM —
     # the gap stream is precomputed here and encoded non-delta, because the
@@ -127,7 +126,7 @@ def build_fragment_positions(
     pos_gaps[1:] -= p_s[:-1]
     pos_gaps[pair_starts] = p_s[pair_starts]
     pos_term_starts = pair_starts[term_starts]  # value index of each term's first position
-    pos_enc = encode_cells(pos_gaps, pos_term_starts, delta=False, codec=codec)
+    pos_enc = encode_rows(pos_gaps, pos_term_starts, delta=False)
 
     return pa.table(
         {
@@ -152,10 +151,8 @@ class PositionBuilder:
         options: IndexOptions,
         source_column: str = "text",
         name_column: str = "doc_id",
-        codec: str = "vbyte",
     ):
         self.index_dir = index_dir
-        self.codec = codec
         self.options = options
         self.source_column = source_column
         self.name_column = name_column
@@ -187,7 +184,7 @@ class PositionBuilder:
             ids = np.asarray(name_col, dtype=np.int64)
         else:
             ids = frag.base + np.arange(table.num_rows, dtype=np.int64)
-        rows = build_fragment_positions(ids, texts, frag.frag_id, self.options, self.codec)
+        rows = build_fragment_positions(ids, texts, frag.frag_id, self.options)
         path = os.path.join(self.index_dir, "positions", f"part-{frag.frag_id:06d}.parquet")
         nbytes = _atomic_write_parquet(rows, path)
         manifest = {
@@ -227,53 +224,26 @@ def build_position_index(
     options: IndexOptions | None = None,
     source_column: str = "text",
     name_column: str = "doc_id",
-    codec: str = "vbyte",
 ) -> dict:
     """Build (or resume) the positional sidecar.  Fragment-parallel
     map_batches, per-fragment manifests for resume, no shuffle."""
     import ray.data
 
     options = options or IndexOptions()
-    if codec not in CODEC_NAMES:
-        raise ValueError(f"unknown positions codec {codec!r}; choose from {CODEC_NAMES}")
     os.makedirs(index_dir, exist_ok=True)
     stats_path = os.path.join(index_dir, "positions_stats.json")
     fragments = plan_fragments(input_path)
+    # a fragment-manifest resume appends to cells an earlier run wrote:
+    # refuse them unless they are VByte
+    marker = os.path.join(index_dir, "positions_codec.json")
+    if os.path.exists(marker):
+        load_meta(marker)
     if os.path.exists(stats_path):
-        with open(stats_path) as fh:
-            prior = json.load(fh)
+        prior = load_meta(stats_path)
         if prior.get("n_fragments") == len(fragments) and prior.get(
             "options"
         ) == options.to_dict():
-            if prior.get("codec", "vbyte") != codec:
-                raise ValueError(
-                    f"positions at {index_dir} were built with codec="
-                    f"{prior.get('codec', 'vbyte')!r}; rebuild to switch"
-                )
             return prior
-
-    # codec is a physical property of every already-written cell; a
-    # fragment-manifest resume must keep the original choice (same marker
-    # protocol as the main index's build_codec.json)
-    codec_path = os.path.join(index_dir, "positions_codec.json")
-    if os.path.exists(codec_path):
-        with open(codec_path) as fh:
-            prior_codec = json.load(fh)["codec"]
-        if prior_codec != codec:
-            raise ValueError(
-                f"positions at {index_dir} were started with codec="
-                f"{prior_codec!r}; cannot resume with codec={codec!r}"
-            )
-    else:
-        mdir = os.path.join(index_dir, "positions_manifest")
-        if codec != "vbyte" and os.path.isdir(mdir) and os.listdir(mdir):
-            raise ValueError(
-                f"positions at {index_dir} have pre-existing vbyte fragments; "
-                f"cannot resume with codec={codec!r}"
-            )
-        with open(codec_path + ".tmp", "w") as fh:
-            json.dump({"codec": codec}, fh)
-        os.replace(codec_path + ".tmp", codec_path)
 
     frag_ds = ray.data.from_items([f.to_dict() for f in fragments])
     manifests = frag_ds.map_batches(
@@ -283,7 +253,6 @@ def build_position_index(
             options=options,
             source_column=source_column,
             name_column=name_column,
-            codec=codec,
         ),
         batch_size=1,
         concurrency=(1, 8),
@@ -299,7 +268,7 @@ def build_position_index(
     name_type = _pq.read_schema(fragments[0].path).field(name_column).type
     stats = {
         "n_fragments": len(fragments),
-        "codec": codec,
+        "codec": "vbyte",
         "n_terms_rows": int(manifests["n_terms"].sum()),
         "n_postings": int(manifests["n_postings"].sum()),
         "bytes": int(manifests["bytes"].sum()),
@@ -312,19 +281,17 @@ def build_position_index(
     return stats
 
 
-def _sidecar_codec(index_dir: str) -> str:
-    """The codec a positional sidecar was written with (stats first,
-    start-marker as fallback for incomplete builds; vbyte for sidecars
-    written before the codec existed)."""
-    for fname in ("positions_stats.json", "positions_codec.json"):
-        p = os.path.join(index_dir, fname)
-        if os.path.exists(p):
-            with open(p) as fh:
-                return json.load(fh).get("codec", "vbyte")
-    return "vbyte"
+def _sidecar_options(index_dir: str, options: IndexOptions | None) -> IndexOptions:
+    """The caller's options, else the sidecar's build options — after
+    refusing a sidecar whose stats record a codec other than VByte."""
+    stats_path = os.path.join(index_dir, "positions_stats.json")
+    if options is None or os.path.exists(stats_path):
+        stats = load_meta(stats_path)
+        options = options or IndexOptions.from_dict(stats["options"])
+    return options
 
 
-def _term_keys(tbl: pa.Table, codec: str = "vbyte") -> np.ndarray:
+def _term_keys(tbl: pa.Table) -> np.ndarray:
     """Decode one term's rows into a SORTED composite key array
     ``doc_id << _POS_BITS | position``."""
     if tbl.num_rows == 0:
@@ -335,12 +302,10 @@ def _term_keys(tbl: pa.Table, codec: str = "vbyte") -> np.ndarray:
     # loop is over FRAGMENT-rows of one term, not docs or positions
     for i in range(tbl.num_rows):
         nd = int(df_local[i])
-        docs = np.cumsum(
-            decode_one(tbl["docs_enc"][i].as_py(), nd, codec).astype(np.int64)
-        )
-        npos = decode_one(tbl["npos_enc"][i].as_py(), nd, codec).astype(np.int64)
+        docs = delta_decode(tbl["docs_enc"][i].as_py(), nd)
+        npos = vbyte_decode(tbl["npos_enc"][i].as_py(), nd).astype(np.int64)
         total = int(npos.sum())
-        pgaps = decode_one(tbl["pos_enc"][i].as_py(), total, codec).astype(np.int64)
+        pgaps = vbyte_decode(tbl["pos_enc"][i].as_py(), total).astype(np.int64)
         cum = np.cumsum(pgaps)
         ends = np.cumsum(npos)
         bases = np.repeat(np.concatenate(([0], cum[ends[:-1] - 1])), npos)
@@ -365,9 +330,7 @@ def phrase_search(
     Returns ``(doc_id, n_matches)`` sorted by doc_id ascending."""
     import pyarrow.dataset as pads
 
-    if options is None:
-        with open(os.path.join(index_dir, "positions_stats.json")) as fh:
-            options = IndexOptions.from_dict(json.load(fh)["options"])
+    options = _sidecar_options(index_dir, options)
 
     terms = [
         normalize_query_word(
@@ -385,14 +348,13 @@ def phrase_search(
     if not terms:
         return empty
 
-    codec = _sidecar_codec(index_dir)
     dset = pads.dataset(os.path.join(index_dir, "positions"))
     tbl = dset.to_table(filter=pc.field("term").isin(sorted(set(terms))))
 
     per_term: dict[str, np.ndarray] = {}
     for t in set(terms):
         sub = tbl.filter(pc.equal(tbl["term"], t))
-        per_term[t] = _term_keys(sub, codec)
+        per_term[t] = _term_keys(sub)
 
     # intersect composite keys: candidate = positions where the phrase STARTS
     cand = per_term[terms[0]]
@@ -438,9 +400,7 @@ def proximity_search(
         raise ValueError("window must be >= 0")
     import pyarrow.dataset as pads
 
-    if options is None:
-        with open(os.path.join(index_dir, "positions_stats.json")) as fh:
-            options = IndexOptions.from_dict(json.load(fh)["options"])
+    options = _sidecar_options(index_dir, options)
 
     def norm(w: str) -> str:
         return normalize_query_word(
@@ -457,11 +417,10 @@ def proximity_search(
     if not ta or not tb or ta == tb:
         return empty
 
-    codec = _sidecar_codec(index_dir)
     dset = pads.dataset(os.path.join(index_dir, "positions"))
     tbl = dset.to_table(filter=pc.field("term").isin([ta, tb]))
-    a_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], ta)), codec)
-    b_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], tb)), codec)
+    a_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], ta)))
+    b_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], tb)))
     if a_keys.size == 0 or b_keys.size == 0:
         return empty
 
@@ -507,9 +466,7 @@ def ordered_window_search(
         raise ValueError("slop must be >= 1")
     import pyarrow.dataset as pads
 
-    if options is None:
-        with open(os.path.join(index_dir, "positions_stats.json")) as fh:
-            options = IndexOptions.from_dict(json.load(fh)["options"])
+    options = _sidecar_options(index_dir, options)
 
     def norm(w: str) -> str:
         return normalize_query_word(
@@ -526,11 +483,10 @@ def ordered_window_search(
     if not ta or not tb or ta == tb:
         return empty
 
-    codec = _sidecar_codec(index_dir)
     dset = pads.dataset(os.path.join(index_dir, "positions"))
     tbl = dset.to_table(filter=pc.field("term").isin([ta, tb]))
-    a_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], ta)), codec)
-    b_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], tb)), codec)
+    a_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], ta)))
+    b_keys = _term_keys(tbl.filter(pc.equal(tbl["term"], tb)))
     if a_keys.size == 0 or b_keys.size == 0:
         return empty
 

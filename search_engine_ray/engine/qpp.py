@@ -30,14 +30,13 @@ driver receives <= |query| rows.  No stage is corpus-sized.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-from .codec import decode_cells
+from .codec import decode_concat_rows, load_meta
 
 
 def _micros(x: np.ndarray) -> np.ndarray:
@@ -57,10 +56,7 @@ def qpp_predictors(index_dir: str, terms: list[str]) -> pa.Table:
     import ray.data
     from ray.data.aggregate import Sum
 
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        stats = json.load(fh)
-    n_docs = int(stats["n_docs"])
-    codec = stats.get("codec", "vbyte")
+    n_docs = int(load_meta(os.path.join(index_dir, "stats.json"))["n_docs"])
 
     ds = ray.data.read_parquet(
         os.path.join(index_dir, "postings"),
@@ -78,7 +74,7 @@ def qpp_predictors(index_dir: str, terms: list[str]) -> pa.Table:
                 }
             )
         n_per_row = np.asarray(batch["n"], dtype=np.int64)
-        flat = decode_cells(batch["tfs_enc"], n_per_row, delta=False, codec=codec)
+        flat = decode_concat_rows(batch["tfs_enc"], n_per_row, delta=False)
         row_starts = np.concatenate(([0], np.cumsum(n_per_row)[:-1]))
         cf_rows = np.add.reduceat(flat.astype(np.int64), row_starts)
         # in-batch combine: one output row per distinct term in the batch

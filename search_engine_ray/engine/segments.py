@@ -3,8 +3,8 @@
 A ``SegmentBuilder`` is the engine's analogue of the reference's per-worker
 ``WriteableIndex`` + ``Stemmer`` + ``Parser`` trio
 (/root/reference/src/Indexing/Indexer.cs:50-52): a callable CLASS used with
-``map_batches(..., concurrency=N)`` so per-actor state (the Porter memo
-cache) is built once and reused across fragments.
+``build_segments_batch``, which caches one per worker process, so its state
+(the Porter memo cache) is built once and reused across the fragment tasks.
 
 Per fragment it:
 1. reads its Parquet row group column-pruned (url + html, or url + text),
@@ -36,7 +36,7 @@ import pyarrow.parquet as pq
 from ..config import BuildConfig
 from ..corpus.extract import extract_text_batch
 from ..text.vectorized import tokenize_batch
-from .codec import encode_cells
+from .codec import encode_rows
 from .reader import Fragment, read_fragment
 
 # Postings are delta+VByte-compressed PER SEGMENT ROW, not just in the final
@@ -166,9 +166,9 @@ def build_fragment_postings(
             "min_tf": pa.array(np.minimum.reduceat(tf64, row_starts).astype(np.int32)),
             "min_dl": pa.array(np.minimum.reduceat(dls, row_starts).astype(np.int32)),
             "max_dl": pa.array(np.maximum.reduceat(dls, row_starts).astype(np.int32)),
-            "docs_enc": encode_cells(global_docs, row_starts, delta=True, codec=config.codec),
-            "tfs_enc": encode_cells(tf64, row_starts, delta=False, codec=config.codec),
-            "dls_enc": encode_cells(dls, row_starts, delta=False, codec=config.codec),
+            "docs_enc": encode_rows(global_docs, row_starts, delta=True),
+            "tfs_enc": encode_rows(tf64, row_starts, delta=False),
+            "dls_enc": encode_rows(dls, row_starts, delta=False),
         },
         schema=SEGMENT_SCHEMA,
     )

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 
 from ..config import BM25Params
+from .codec import load_meta
 from .index_reader import Block, TermPostings, _blocks_from_table
 
 
@@ -49,8 +50,7 @@ class _ShardIndexView:
         independent of dictionary/corpus size (round-1 finding #6: loading
         the full df map per shard actor does not survive a 10^12-doc
         dictionary)."""
-        with open(os.path.join(index_dir, "stats.json")) as fh:
-            self.stats = json.load(fh)
+        self.stats = load_meta(os.path.join(index_dir, "stats.json"))
         self.avgdl = self.stats["avgdl"]
         from .terms_io import read_terms_table, terms_dataset
 
@@ -70,7 +70,7 @@ class _ShardIndexView:
         if terms is not None:
             flt = flt & pads.field("term").isin(terms)
         tbl = ds.to_table(filter=flt)
-        self._blocks = _blocks_from_table(tbl, self.stats.get("codec", "vbyte"))
+        self._blocks = _blocks_from_table(tbl)
         if tbl.num_rows:
             self.doc_lo = int(pa.compute.min(tbl["first_doc"]).as_py())
             self.doc_hi = int(pa.compute.max(tbl["last_doc"]).as_py()) + 1
@@ -130,7 +130,6 @@ class _ShardIndexView:
                 ub_tfn=b.ub_tfn,
                 lb_tfn=b.lb_tfn,
                 ub_logtf=b.ub_logtf,
-                codec=b.codec,
                 _decoded=None,
             )
             for b in blocks

@@ -3,6 +3,7 @@ against its oracle_sql() via DuckDB (row count, schema names, and
 order-insensitive exact values), plus the entry() smoke check."""
 
 import os
+import signal
 import sys
 
 import duckdb
@@ -56,49 +57,78 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 SQL_CHECKED = None  # populated in test
 
+# wall-clock budget per gate: a gate that stalls (e.g. waiting on Ray CPU
+# slots that never free) is recorded by name and the sweep moves on,
+# instead of the whole suite running into its timeout anonymously
+GATE_BUDGET_S = 600
+
+
+class _GateTimeout(Exception):
+    pass
+
+
+def _raise_gate_timeout(signum, frame):
+    raise _GateTimeout
+
 
 def test_all_sql_checked_queries(contract, con):
     qs = contract.queries()
     oracles = contract.oracle_sql()
     assert set(oracles) <= set(qs)
     failures = []
-    for name, sql in oracles.items():
-        got = _normalize(_to_df(qs[name](SF)))
-        exp = _normalize(con.execute(sql).df())
-        try:
-            assert list(got.columns) == list(exp.columns), (
-                f"{name}: columns {list(got.columns)} != {list(exp.columns)}"
-            )
-            assert len(got) == len(exp), f"{name}: rows {len(got)} != {len(exp)}"
-            for c in got.columns:
-                # the driver's value-hash is dtype-sensitive: an int64
-                # engine column vs a float64 oracle column (DuckDB SUM ->
-                # HUGEINT -> pandas float64) hash-diverges even when every
-                # value is numerically equal (round-4 red rows). Enforce
-                # matching integer-ness here so it can't regress silently.
-                gk = np.asarray(got[c]).dtype.kind
-                ek = np.asarray(exp[c]).dtype.kind
-                assert (gk in "iub") == (ek in "iub"), (
-                    f"{name}.{c}: dtype kind mismatch engine={gk} oracle={ek}"
-                    " — CAST the oracle column to BIGINT/BOOLEAN"
-                )
-            for c in got.columns:
-                if np.issubdtype(exp[c].dtype, np.floating) or np.issubdtype(
-                    np.asarray(got[c]).dtype, np.floating
-                ):
-                    np.testing.assert_allclose(
-                        np.asarray(got[c], dtype=np.float64),
-                        np.asarray(exp[c], dtype=np.float64),
-                        rtol=0,
-                        atol=0,
-                        err_msg=f"{name}.{c}",
-                    )
-                else:
-                    same = np.asarray(got[c]) == np.asarray(exp[c])
-                    assert same.all(), f"{name}.{c}: first diff at {np.flatnonzero(~same)[:5]}"
-        except AssertionError as exc:
-            failures.append(str(exc).splitlines()[0])
+    prior_handler = signal.signal(signal.SIGALRM, _raise_gate_timeout)
+    try:
+        for name, sql in oracles.items():
+            signal.alarm(GATE_BUDGET_S)
+            try:
+                got = _normalize(_to_df(qs[name](SF)))
+            except _GateTimeout:
+                failures.append(f"{name}: exceeded its {GATE_BUDGET_S} s budget")
+                continue
+            finally:
+                signal.alarm(0)
+            _compare(name, got, _normalize(con.execute(sql).df()), failures)
+    finally:
+        signal.signal(signal.SIGALRM, prior_handler)
     assert not failures, failures
+
+
+def _compare(name: str, got: pd.DataFrame, exp: pd.DataFrame, failures: list) -> None:
+    """Append the first mismatch between a gate's rows and its oracle's
+    (columns, row count, integer-ness, then exact values) to ``failures``."""
+    try:
+        assert list(got.columns) == list(exp.columns), (
+            f"{name}: columns {list(got.columns)} != {list(exp.columns)}"
+        )
+        assert len(got) == len(exp), f"{name}: rows {len(got)} != {len(exp)}"
+        for c in got.columns:
+            # the contract's value-hash is dtype-sensitive: an int64
+            # engine column vs a float64 oracle column (DuckDB SUM ->
+            # HUGEINT -> pandas float64) hash-diverges even when every
+            # value is numerically equal (round-4 red rows). Enforce
+            # matching integer-ness here so it can't regress silently.
+            gk = np.asarray(got[c]).dtype.kind
+            ek = np.asarray(exp[c]).dtype.kind
+            assert (gk in "iub") == (ek in "iub"), (
+                f"{name}.{c}: dtype kind mismatch engine={gk} oracle={ek}"
+                " — CAST the oracle column to BIGINT/BOOLEAN"
+            )
+        for c in got.columns:
+            if np.issubdtype(exp[c].dtype, np.floating) or np.issubdtype(
+                np.asarray(got[c]).dtype, np.floating
+            ):
+                np.testing.assert_allclose(
+                    np.asarray(got[c], dtype=np.float64),
+                    np.asarray(exp[c], dtype=np.float64),
+                    rtol=0,
+                    atol=0,
+                    err_msg=f"{name}.{c}",
+                )
+            else:
+                same = np.asarray(got[c]) == np.asarray(exp[c])
+                assert same.all(), f"{name}.{c}: first diff at {np.flatnonzero(~same)[:5]}"
+    except AssertionError as exc:
+        failures.append(str(exc).splitlines()[0])
 
 
 def test_oracle_dtypes_canonical(con):

@@ -470,3 +470,100 @@ def test_distributed_terms_directory_layout(built, ray_session, monkeypatch):
         i2, s2 = score_topic(r_dir, kws, scorer=scorer, k=15)
         np.testing.assert_array_equal(i1, i2)
         np.testing.assert_array_equal(s1, s2)
+
+
+def _record_codec(path: str, codec: str) -> None:
+    meta = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            meta = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(dict(meta, codec=codec), fh)
+
+
+def test_non_vbyte_index_and_sidecar_refused(built, ray_session, tmp_path):
+    """Delta+VByte is the only postings encoding: an index or positions
+    sidecar whose metadata records another codec is refused by every
+    reader, maintenance verb, derived tier and resume, with a ValueError
+    that names the codec and says to rebuild."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from search_engine_ray.engine.champions import build_champion_lists
+    from search_engine_ray.engine.impact import build_impact_index
+    from search_engine_ray.engine.maintenance import (
+        compact_index,
+        fsck_index,
+        merge_indexes,
+        upsert_docs,
+    )
+    from search_engine_ray.engine.positions import (
+        build_position_index,
+        ordered_window_search,
+        phrase_search,
+        proximity_search,
+    )
+    from search_engine_ray.engine.qpp import qpp_predictors
+
+    corpus_dir, index_dir, stats, _ = built
+    assert stats["codec"] == "vbyte"
+    config = BuildConfig(block_entries=16, frags_per_shard=2)
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(corpus_dir, corpus)
+    bad = str(tmp_path / "fixed_index")
+    shutil.copytree(index_dir, bad)
+    _record_codec(os.path.join(bad, "stats.json"), "fixed")
+    update = sorted(glob.glob(os.path.join(corpus, "*.parquet")))[0]
+    for call in (
+        lambda: IndexReader(bad),
+        lambda: fsck_index(bad),
+        lambda: compact_index(bad, str(tmp_path / "compacted")),
+        lambda: merge_indexes(index_dir, bad, str(tmp_path / "merged")),
+        lambda: build_impact_index(bad, str(tmp_path / "impact")),
+        lambda: build_champion_lists(bad, str(tmp_path / "champions")),
+        lambda: qpp_predictors(bad, ["a"]),
+        lambda: build_index(corpus, bad, config, term_buckets=8),
+        lambda: upsert_docs(bad, corpus, update),
+    ):
+        with pytest.raises(ValueError, match="'fixed'.*rebuild"):
+            call()
+    # the refused upsert tombstoned nothing and placed no file
+    assert not os.path.exists(os.path.join(bad, "tombstones.parquet"))
+    assert len(os.listdir(corpus)) == len(os.listdir(corpus_dir))
+
+    # an interrupted build left by an older version records its codec in
+    # build_codec.json; resuming it must refuse unless that is vbyte
+    partial = str(tmp_path / "partial_index")
+    shutil.copytree(index_dir, partial)
+    for name in (".complete", "stats.json"):
+        os.remove(os.path.join(partial, name))
+    _record_codec(os.path.join(partial, "build_codec.json"), "pfor")
+    with pytest.raises(ValueError, match="'pfor'.*rebuild"):
+        build_index(corpus, partial, config, term_buckets=8)
+
+    opt = IndexOptions(case_folding=True, remove_stopwords=True, stemming=False)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(
+        pa.Table.from_pandas(
+            pd.DataFrame({"doc_id": [1, 2], "text": ["alpha beta", "beta alpha"]}),
+            preserve_index=False,
+        ),
+        src,
+    )
+    pos = str(tmp_path / "pos")
+    build_position_index(src, pos, opt, source_column="text", name_column="doc_id")
+    assert phrase_search(pos, ["alpha", "beta"]).num_rows == 1
+    _record_codec(os.path.join(pos, "positions_stats.json"), "fixed")
+    for call in (
+        lambda: phrase_search(pos, ["alpha", "beta"]),
+        lambda: phrase_search(pos, ["alpha", "beta"], opt),
+        lambda: proximity_search(pos, "alpha", "beta", 2),
+        lambda: ordered_window_search(pos, "alpha", "beta", 2, opt),
+        lambda: build_position_index(src, pos, opt, source_column="text", name_column="doc_id"),
+    ):
+        with pytest.raises(ValueError, match="'fixed'.*rebuild"):
+            call()
+    os.remove(os.path.join(pos, "positions_stats.json"))
+    _record_codec(os.path.join(pos, "positions_codec.json"), "fixed")
+    with pytest.raises(ValueError, match="'fixed'.*rebuild"):
+        build_position_index(src, pos, opt, source_column="text", name_column="doc_id")

@@ -7,7 +7,7 @@ import pyarrow as pa
 from hypothesis import given, settings, strategies as st
 
 from search_engine_ray.config import BuildConfig, IndexOptions
-from search_engine_ray.engine.codec import decode_one, decode_one_delta
+from search_engine_ray.engine.codec import delta_decode, vbyte_decode
 from search_engine_ray.engine.merge import add_merge_keys, make_merge_fn
 from search_engine_ray.engine.segments import build_fragment_postings
 from search_engine_ray.oracle.indexer import OracleIndex
@@ -26,9 +26,9 @@ TEXTS = st.lists(
 )
 
 
-def _build_inline(texts, options, n_frags, block_entries=4, frags_per_shard=2, codec="vbyte"):
+def _build_inline(texts, options, n_frags, block_entries=4, frags_per_shard=2):
     """Run the real fragment+merge kernels in-process over a partitioning."""
-    config = BuildConfig(options=options, block_entries=block_entries, frags_per_shard=frags_per_shard, codec=codec)
+    config = BuildConfig(options=options, block_entries=block_entries, frags_per_shard=frags_per_shard)
     bounds = np.linspace(0, len(texts), n_frags + 1).astype(int)
     seg_tables = []
     doc_lens = []
@@ -61,9 +61,9 @@ def _build_inline(texts, options, n_frags, block_entries=4, frags_per_shard=2, c
                 out.to_pylist(), key=lambda r: (r["term"], r["first_doc"])
             )
             for row in rows:
-                ids = decode_one_delta(row["docs_enc"], row["n"], codec).tolist()
-                tfs = decode_one(row["tfs_enc"], row["n"], codec).tolist()
-                dls = decode_one(row["dls_enc"], row["n"], codec).tolist()
+                ids = delta_decode(row["docs_enc"], row["n"]).tolist()
+                tfs = vbyte_decode(row["tfs_enc"], row["n"]).tolist()
+                dls = vbyte_decode(row["dls_enc"], row["n"]).tolist()
                 e = postings.setdefault(row["term"], ([], [], []))
                 e[0].extend(ids)
                 e[1].extend(tfs)
@@ -93,19 +93,4 @@ def test_partition_count_invariance_property(texts):
     options = IndexOptions(True, False, False)
     a, _ = _build_inline(texts, options, 1)
     b, _ = _build_inline(texts, options, min(4, len(texts)), frags_per_shard=1)
-    assert a == b
-
-
-@settings(max_examples=30, deadline=None)
-@given(TEXTS, st.integers(min_value=1, max_value=4))
-def test_pipeline_core_codec_equivalence(texts, n_frags):
-    """Arbitrary corpora + partitionings: the fixed-width codec must
-    produce decode-equal postings to VByte through the REAL fragment +
-    merge kernels (cells round-trip through the passthrough AND the
-    decode->re-encode merge path)."""
-    options = IndexOptions(True, False, True)
-    nf = min(n_frags, len(texts))
-    a, dla = _build_inline(texts, options, nf, codec="vbyte")
-    b, dlb = _build_inline(texts, options, nf, codec="fixed")
-    assert dla == dlb
     assert a == b
