@@ -5574,11 +5574,7 @@ def q_bm25_deleted_top10(sf_dir: str) -> pa.Table:
     from search_engine_ray.engine.index_reader import IndexReader
     from search_engine_ray.engine.maintenance import delete_docs
     from search_engine_ray.engine.search import score_topic
-    from search_engine_ray.pipelines import (
-        bm25_filtered_scores_f64,
-        bm25_scores_f64,
-        documents_index_dir,
-    )
+    from search_engine_ray.pipelines import bm25_scores_f64, documents_index_dir
 
     base = documents_index_dir(sf_dir, OPT_NOSTEM)
     r0 = _reader(sf_dir)
@@ -5594,8 +5590,7 @@ def q_bm25_deleted_top10(sf_dir: str) -> pa.Table:
 
     _build_once(tomb_dir, ".tomb-complete", _build)
     r = IndexReader(tomb_dir)
-    mask = r.deleted_mask()
-    ids, scores = bm25_filtered_scores_f64(r, BM25_QUERY, ~mask)
+    ids, scores = bm25_scores_f64(r, BM25_QUERY)  # drops the tombstoned docs
     ids, scores = ids[:10], scores[:10]
     # engine path: auto falls back to TAAT under tombstones; rank-identical
     e_ids, _ = score_topic(r, BM25_QUERY, scorer="bm25", k=10)
@@ -6240,9 +6235,8 @@ def q_bm25_upsert_top10(sf_dir: str) -> pa.Table:
     r = IndexReader(idx)
     mask = r.deleted_mask()
     assert mask is not None and int(mask.sum()) == 1, "exactly one dead version"
-    ids, scores = bm25_scores_f64(r, BM25_QUERY)
-    keep = ~mask[ids]
-    ids, scores = ids[keep][:10], scores[keep][:10]
+    ids, scores = bm25_scores_f64(r, BM25_QUERY)  # drops the dead version
+    ids, scores = ids[:10], scores[:10]
     doc_ids = np.asarray([int(r.doc_names[d]) for d in ids], dtype=np.int64)
     return pa.table(
         {"doc_id": pa.array(doc_ids), "score_micros": pa.array(_micros(scores))}
@@ -6318,9 +6312,8 @@ def q_bm25_refreshed_top10(sf_dir: str) -> pa.Table:
     r = IndexReader(idx)
     mask = r.deleted_mask()
     assert mask is not None and int(mask.sum()) == 1, "exactly one dead version"
-    ids, scores = bm25_scores_f64(r, BM25_QUERY)
-    keep = ~mask[ids]
-    ids, scores = ids[keep][:10], scores[keep][:10]
+    ids, scores = bm25_scores_f64(r, BM25_QUERY)  # drops the dead version
+    ids, scores = ids[:10], scores[:10]
     doc_ids = np.asarray([int(r.doc_names[d]) for d in ids], dtype=np.int64)
     return pa.table(
         {"doc_id": pa.array(doc_ids), "score_micros": pa.array(_micros(scores))}

@@ -33,6 +33,7 @@ import ray.data
 
 from ..config import IndexOptions
 from ..corpus.links import extract_links_batch
+from ..engine.scoring import bm25_term
 
 _HOST_RE = r"^[a-z][a-z0-9+.-]*://(?:[^/@]*@)?(?P<host>[^/:?#]+)"
 
@@ -229,7 +230,7 @@ def bm25_anchor_scores(
         w = w_uniq[d.indices.to_numpy()] if len(d) else np.zeros(0)
         tfv = np.asarray(batch["n"], dtype=np.float64)
         dlv = np.asarray(batch["dl"], dtype=np.float64)
-        score = w * (tfv * (k1 + 1)) / (tfv + k1 * (1 - b + b * (dlv / avgdl)))
+        score = bm25_term(w, tfv, dlv, avgdl, k1, b)
         return pa.table({"dst_url": batch["dst_url"], "score": pa.array(score)})
 
     # join output feeds another shuffle -> sanitize zero-column empty

@@ -15,8 +15,9 @@ is approximate, graded by recall against the exact ranking.
 
 Build is one distributed pass over the postings table: per-batch decode
 + per-term partial top-m (the per-batch emission is <= m rows per term
-per batch), then a term groupby folds the global top-m.  No other
-stage ever decodes a posting.
+per batch), then a term-hash-bucket groupby folds the global top-m
+(one vectorized pass per bucket, pyarrow batches).  No other stage ever
+decodes a posting.
 
 POSITIVE-IDF ASSUMPTION: "largest sat == best contributor" holds only
 when idf > 0, i.e. df < n/2.  Negative-idf terms (stopword-like; the
@@ -35,14 +36,40 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-from .codec import delta_decode, load_meta, vbyte_decode
+from .codec import decode_concat_rows, load_meta
+from .merge import term_bucket_array
+from .scoring import bm25_term
 
 CHAMP_FILE = "champions.parquet"
 STATS_FILE = "champion_stats.json"
+# term-hash buckets of the global top-m fold: one group call folds every
+# term of a bucket, never one call per term
+_FOLD_BUCKETS = 16
+
+
+def _top_m(
+    dictionary: pa.Array, codes: np.ndarray, ids: np.ndarray, tfs: np.ndarray,
+    dls: np.ndarray, m: int, k1: float, b: float, avgdl: float,
+) -> pa.Table:
+    """Every term's top-m postings by sat(tf, dl), ties by ascending docID,
+    for all terms at once: one lexsort by (term, -sat, doc) and a
+    rank-within-term cut.  ``codes`` index ``dictionary`` per posting."""
+    sat = tfs / (tfs + k1 * (1 - b + b * (dls / avgdl)))
+    order = np.lexsort((ids, -sat, codes))
+    c = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+    rank = np.arange(len(c)) - np.repeat(starts, np.diff(np.append(starts, len(c))))
+    keep = order[rank < m]
+    return pa.table({
+        "term": dictionary.take(pa.array(codes[keep], pa.int64())),
+        "doc_id": pa.array(ids[keep], pa.int64()),
+        "tf": pa.array(tfs[keep], pa.int64()),
+        "dl": pa.array(dls[keep], pa.int64()),
+    })
 
 
 def build_champion_lists(
@@ -61,55 +88,30 @@ def build_champion_lists(
     avgdl = float(stats["avgdl"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        terms_out, ids_out, tfs_out, dls_out = [], [], [], []
-        terms = batch["term"].to_pylist()
-        ns = batch["n"].to_pylist()
-        de = batch["docs_enc"].to_pylist()
-        te = batch["tfs_enc"].to_pylist()
-        le = batch["dls_enc"].to_pylist()
-        # fold blocks of the same term within this batch before the top-m
-        by_term: dict[str, list[int]] = {}
-        for i, t in enumerate(terms):
-            by_term.setdefault(t, []).append(i)
-        for t, rows in by_term.items():
-            ids = np.concatenate([delta_decode(de[i], ns[i]) for i in rows])
-            tfs = np.concatenate(
-                [vbyte_decode(te[i], ns[i]).astype(np.int64) for i in rows]
-            )
-            dls = np.concatenate(
-                [vbyte_decode(le[i], ns[i]).astype(np.int64) for i in rows]
-            )
-            sat = tfs / (tfs + k1 * (1 - b + b * (dls / avgdl)))
-            keep = np.lexsort((ids, -sat))[: min(m, len(ids))]
-            terms_out.append(np.full(len(keep), t, dtype=object))
-            ids_out.append(ids[keep])
-            tfs_out.append(tfs[keep])
-            dls_out.append(dls[keep])
-        if not terms_out:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "tf": pa.array([], pa.int64()),
-                    "dl": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "term": pa.array(np.concatenate(terms_out), pa.string()),
-                "doc_id": pa.array(np.concatenate(ids_out).astype(np.int64)),
-                "tf": pa.array(np.concatenate(tfs_out)),
-                "dl": pa.array(np.concatenate(dls_out)),
-            }
+        # one decode per column for the whole batch, then the per-term
+        # top-m over every term in it; the bucket routes the fold
+        lens = np.asarray(batch["n"], dtype=np.int64)
+        denc = batch["term"].combine_chunks().dictionary_encode()
+        top = _top_m(
+            denc.dictionary,
+            np.repeat(np.asarray(denc.indices, dtype=np.int64), lens),
+            decode_concat_rows(batch["docs_enc"], lens, delta=True),
+            decode_concat_rows(batch["tfs_enc"], lens, delta=False),
+            decode_concat_rows(batch["dls_enc"], lens, delta=False),
+            m, k1, b, avgdl,
         )
+        return top.append_column("bucket", term_bucket_array(top["term"], _FOLD_BUCKETS))
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        sat = g["tf"].to_numpy(np.float64) / (
-            g["tf"].to_numpy(np.float64)
-            + k1 * (1 - b + b * (g["dl"].to_numpy(np.float64) / avgdl))
+    def fold(group: pa.Table) -> pa.Table:
+        denc = group["term"].combine_chunks().dictionary_encode()
+        return _top_m(
+            denc.dictionary,
+            np.asarray(denc.indices, dtype=np.int64),
+            np.asarray(group["doc_id"]),
+            np.asarray(group["tf"]),
+            np.asarray(group["dl"]),
+            m, k1, b, avgdl,
         )
-        keep = np.lexsort((g["doc_id"].to_numpy(), -sat))[: min(m, len(g))]
-        return g.iloc[keep]
 
     os.makedirs(out_dir, exist_ok=True)
     champs = (
@@ -118,8 +120,8 @@ def build_champion_lists(
             columns=["term", "n", "docs_enc", "tfs_enc", "dls_enc"],
         )
         .map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .map_groups(fold, batch_format="pandas")
+        .groupby("bucket")
+        .map_groups(fold, batch_format="pyarrow")
     )
     tbl = pa.concat_tables(
         [
@@ -154,8 +156,9 @@ def champion_topk(
     """Approximate BM25 top-k over champion lists only: a term-pruned
     parquet read of |terms| * m rows, exact global df/idf from the
     reader's term metadata (no posting decode), dense accumulate over
-    the candidate union.  Returns (docids desc-score asc-docid, scores)
-    — bit-identical to bm25_scores_f64 whenever m covers each term's df."""
+    the candidate union; tombstoned docs are never returned.  Returns
+    (docids desc-score asc-docid, scores) — bit-identical to
+    bm25_scores_f64 whenever m covers each term's df."""
     import pyarrow.dataset as pads
 
     with open(os.path.join(champ_dir, STATS_FILE)) as fh:
@@ -166,31 +169,26 @@ def champion_topk(
         cstats["k1"],
         cstats["b"],
     )
-    terms = [t for t, _ in keywords]
+    terms = pa.array([t for t, _ in keywords], pa.string())
     tbl = (
         pads.dataset(os.path.join(champ_dir, CHAMP_FILE))
         .to_table(filter=pads.field("term").isin(terms))
     )
-    by_term: dict[str, pa.Table] = {}
-    if tbl.num_rows:
-        df_ = tbl.to_pandas()
-        by_term = {t: g for t, g in df_.groupby("term", sort=False)}
     scores = np.zeros(n, dtype=np.float64)
     touched = np.zeros(n, dtype=bool)
     for term, qtf in keywords:
-        g = by_term.get(term)
+        rows = tbl.filter(pc.equal(tbl["term"], term))
         df = reader.df(term)
-        if g is None or df is None:
+        if rows.num_rows == 0 or df is None:
             continue
-        ids = g["doc_id"].to_numpy(np.int64)
-        tfs = g["tf"].to_numpy(np.float64)
-        dls = g["dl"].to_numpy(np.float64)
+        ids = np.asarray(rows["doc_id"], dtype=np.int64)
         idf = np.log((n - df + 0.5) / (df + 0.5))
         qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores[ids] += (
-            idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        )
+        scores[ids] += bm25_term(idf, np.asarray(rows["tf"]), np.asarray(rows["dl"]), avgdl, k1, b, qterm)
         touched[ids] = True
+    dead = reader.deleted_mask()
+    if dead is not None:
+        touched &= ~dead
     cand = np.flatnonzero(touched)
     order = np.lexsort((cand, -scores[cand]))[:k]
     return cand[order], scores[cand][order]

@@ -79,6 +79,7 @@ import ray
 import ray.data
 
 from .codec import decode_concat_rows, encode_rows, load_meta
+from .scoring import bm25_term
 from .sharded_search import _topk_table, merge_topk, run_shards
 
 _POSTING_COLS = ["term", "n", "docs_enc", "tfs_enc", "dls_enc"]
@@ -100,8 +101,9 @@ def _block_impacts_micros(
     k1: float, b: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-> (doc_ids, imp_micros, row_lens) for every posting in the batch's
-    blocks, flattened in block-row order.  One vectorized decode + one
-    float64 kernel; negative contributions clamp to 0 micros."""
+    blocks, flattened in block-row order.  One vectorized decode + the
+    shared float64 BM25 expression (scoring.bm25_term) with this tier's
+    positive idf; negative contributions clamp to 0 micros."""
     lens = np.asarray(batch["n"], dtype=np.int64)
     ids = decode_concat_rows(batch["docs_enc"], lens, delta=True)
     tfs = decode_concat_rows(batch["tfs_enc"], lens, delta=False).astype(np.float64)
@@ -112,8 +114,7 @@ def _block_impacts_micros(
     # Lucene positive idf — np.log(1.0 + x), NOT log1p: the oracle's
     # ln(1 + x) evaluates 1+x first, and the two differ in the last ulp
     idf = np.log(1.0 + (n_docs - dfs + 0.5) / (dfs + 0.5))
-    contrib = idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl)))
-    micros = np.floor(contrib * 1_000_000 + 0.5).astype(np.int64)
+    micros = np.floor(bm25_term(idf, tfs, dls, avgdl, k1, b) * 1_000_000 + 0.5).astype(np.int64)
     np.maximum(micros, 0, out=micros)
     return ids, micros, lens
 

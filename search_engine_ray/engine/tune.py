@@ -38,6 +38,7 @@ import ray.data
 
 from .boolean import boolean_and
 from .index_reader import IndexReader
+from .scoring import bm25_term
 
 
 def _sweep_topic(
@@ -61,13 +62,10 @@ def _sweep_topic(
             continue
         ids, tfs, dls = tp.arrays()
         idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        tfs = tfs.astype(np.float64)
-        dln = dls.astype(np.float64) / avgdl
         # (C, n_postings) broadcast: one decode, all configs
-        contrib = idf * (tfs[None, :] * (k1s[:, None] + 1)) / (
-            tfs[None, :] + k1s[:, None] * (1 - bs[:, None] + bs[:, None] * dln[None, :])
+        scores[:, ids] += bm25_term(
+            idf, tfs[None, :], dls[None, :], avgdl, k1s[:, None], bs[:, None]
         )
-        scores[:, ids] += contrib
         touched[ids] = True
     cand = np.flatnonzero(touched)
     rel_docs = boolean_and(reader, list(terms))

@@ -3,6 +3,18 @@
 Builds inverted indexes over the driver's `documents` table (doc_id used as
 the document name) or over synthesized `pages` corpora, with per-process +
 on-disk caching so repeated queries() calls reuse one build.
+
+The float64 scorers (``*_f64``, the DuckDB-oracle twins) share one kernel.
+``_accumulate`` adds each query term's per-posting contribution into a
+dense float64 array in query order and counts matched terms per doc;
+``_rank`` orders a candidate mask on (score desc, ordinal asc).  A scorer
+is a contribution function plus a candidate rule: the BM25 family passes
+``engine.scoring.bm25_term`` with an ``np.log`` idf, and filtered, cascade,
+msm, relaxed and conjunctive differ only in the candidate rule.
+Tombstones apply in ``_rank`` and nowhere else: dead docs leave the
+candidates while corpus statistics (N, df, avgdl, cf) stay corpus-wide,
+the Lucene contract.  Scorers built on another one (boosted, prior,
+proximity, MaxP, search-after, PRF, cascade) inherit it.
 """
 
 from __future__ import annotations
@@ -16,6 +28,7 @@ import pyarrow as pa
 from .config import BuildConfig, IndexOptions
 from .engine.build import build_index
 from .engine.index_reader import IndexReader
+from .engine.scoring import bm25_term
 from .text.ws import WS_RE
 
 _CACHE_ROOT = os.environ.get("SE_RAY_CACHE", "/tmp/se_ray_cache")
@@ -200,27 +213,77 @@ def documents_fielded_readers(
     return out
 
 
+def _postings(reader: IndexReader, keywords: list[tuple[str, int]]):
+    """(ids, tfs, dls, df, qtf) for each keyword present in the index, in
+    query order — the postings lists ``_accumulate`` folds."""
+    for term, qtf in keywords:
+        tp = reader.postings(term)
+        if tp is not None:
+            ids, tfs, dls = tp.arrays()
+            yield ids, tfs, dls, tp.df, qtf
+
+
+def _accumulate(n: int, postings, contrib) -> tuple[np.ndarray, np.ndarray]:
+    """The one float64 accumulate loop: per postings list, in the order
+    given, ``scores[ids] += contrib(tfs, dls, df, qtf)``; also counts the
+    lists matching each doc.  -> (scores, matched), dense over ``n`` docs."""
+    scores = np.zeros(n, dtype=np.float64)
+    matched = np.zeros(n, dtype=np.int64)
+    for ids, tfs, dls, df, qtf in postings:
+        scores[ids] += contrib(tfs, dls, df, qtf)
+        matched[ids] += 1
+    return scores, matched
+
+
+def _rank(
+    scores: np.ndarray, cand: np.ndarray, *readers, numeric_ties: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the candidate mask on (score desc, ordinal asc) — or on the
+    numeric doc name asc for ties (the SQL row_number convention).  The
+    one place tombstones apply: each reader's deleted mask, concatenated
+    in reader order, leaves the candidates; statistics were corpus-wide
+    all along."""
+    masks = [r.deleted_mask() for r in readers]
+    if any(m is not None for m in masks):
+        cand = cand & ~np.concatenate(
+            [np.zeros(r.n_docs, bool) if m is None else m for r, m in zip(readers, masks)]
+        )
+    ids = np.flatnonzero(cand)
+    s = scores[ids]
+    order = np.lexsort((_numeric_names(readers[0], ids) if numeric_ties else ids, -s))
+    return ids[order], s[order]
+
+
+def _numeric_names(reader: IndexReader, ids: np.ndarray) -> np.ndarray:
+    """The doc names of ``ids`` as int64 (raises on a non-numeric name)."""
+    return np.asarray([int(reader.doc_names[d]) for d in ids], dtype=np.int64)
+
+
+def _bm25(n: int, avgdl: float, k1: float = 1.2, b: float = 0.75, k3: float = 100.0):
+    """BM25 contribution for ``_accumulate``: the shared expression with
+    the float64 twins' ``np.log`` idf."""
+
+    def contrib(tfs, dls, df, qtf):
+        idf = np.log((n - df + 0.5) / (df + 0.5))
+        return bm25_term(idf, tfs, dls, avgdl, k1, b, ((k3 + 1) * qtf) / (k3 + qtf))
+
+    return contrib
+
+
+def _bm25_sums(reader: IndexReader, keywords, k1: float = 1.2, b: float = 0.75, k3: float = 100.0):
+    """BM25 (scores, matched) of ``keywords`` over one reader."""
+    return _accumulate(
+        reader.n_docs, _postings(reader, keywords), _bm25(reader.n_docs, reader.avgdl, k1, b, k3)
+    )
+
+
 def bm25_scores_f64(
     reader: IndexReader, keywords: list[tuple[str, int]], k1: float = 1.2, b: float = 0.75, k3: float = 100.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float64 BM25 (for DuckDB-oracle comparison; the reference-faithful
     float32 path lives in engine.scoring)."""
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores[ids] += idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+    scores, matched = _bm25_sums(reader, keywords, k1, b, k3)
+    return _rank(scores, matched > 0, reader)
 
 
 def federated_bm25_f64(
@@ -241,37 +304,28 @@ def federated_bm25_f64(
     where names[global_id] resolves documents across all indexes (the
     concatenation of each reader's doc_names in reader order — ordinal
     ties therefore follow reader order, which equals docID order when
-    the segments partition the corpus contiguously)."""
+    the segments partition the corpus contiguously).  Each reader's
+    tombstones hide its own docs."""
     if not readers:
         raise ValueError("federated_bm25_f64 needs at least one reader")
     n = sum(r.n_docs for r in readers)
     sum_dl = sum(int(r.stats["sum_dl"]) for r in readers)
     avgdl = sum_dl / n if n else 0.0
-    offsets = np.concatenate(
-        ([0], np.cumsum([r.n_docs for r in readers]))
-    ).astype(np.int64)
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tps = [r.postings(term) for r in readers]
-        df = sum(tp.df for tp in tps if tp is not None)
-        if df == 0:
-            continue
-        idf = np.log((n - df + 0.5) / (df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        for ri, tp in enumerate(tps):
-            if tp is None:
-                continue
-            ids, tfs, dls = tp.arrays()
-            gid = ids + offsets[ri]
-            scores[gid] += (
-                idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-            )
-            touched[gid] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
+    offsets = np.cumsum([0] + [r.n_docs for r in readers], dtype=np.int64)
+
+    def postings():
+        for term, qtf in keywords:
+            tps = [r.postings(term) for r in readers]
+            df = sum(tp.df for tp in tps if tp is not None)
+            for off, tp in zip(offsets, tps):
+                if tp is not None:
+                    ids, tfs, dls = tp.arrays()
+                    yield ids + off, tfs, dls, df, qtf
+
+    scores, matched = _accumulate(n, postings(), _bm25(n, avgdl, k1, b, k3))
+    ids, scores = _rank(scores, matched > 0, *readers)
     names = np.concatenate([r.doc_names for r in readers]) if n else np.empty(0, object)
-    return cand[order], scores[cand][order], names
+    return ids, scores, names
 
 
 def conjunctive_bm25_f64(
@@ -279,26 +333,10 @@ def conjunctive_bm25_f64(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float64 ranked-AND BM25 (DuckDB-oracle twin of
     engine.scoring.conjunctive_bm25; same candidate set, float64 math so
-    micros match the SQL side exactly)."""
-    from .engine.boolean import boolean_and
-
-    docs = boolean_and(reader, [t for t, _ in keywords])
-    if len(docs) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    scores = np.zeros(len(docs), dtype=np.float64)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        ids, tfs, dls = tp.arrays()
-        pos = np.searchsorted(ids, docs)
-        tf = tfs[pos].astype(np.float64)
-        dl = dls[pos].astype(np.float64)
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores += idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl))) * qterm
-    order = np.lexsort((docs, -scores))
-    return docs[order], scores[order]
+    micros match the SQL side exactly): candidates match every keyword,
+    and an empty query matches nothing."""
+    scores, matched = _bm25_sums(reader, keywords, k1, b, k3)
+    return _rank(scores, (matched == len(keywords)) & (matched > 0), reader)
 
 
 def synonym_bm25_f64(
@@ -318,57 +356,35 @@ def synonym_bm25_f64(
     plain BM25 (tested).  Float64 like the other oracle twins; absent
     members are dropped, an entirely-absent group contributes nothing.
     Duplicate members inside a group (e.g. two surface forms normalizing
-    to the same token) are folded to one, and tombstoned docs never
-    appear in results (same contract as score_topic)."""
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for terms, qtf in groups:
-        parts_ids, parts_tfs, parts_dls = [], [], []
-        for t in dict.fromkeys(terms):  # order-preserving member dedup
-            tp = reader.postings(t)
-            if tp is None:
+    to the same token) are folded to one."""
+
+    def postings():
+        for terms, qtf in groups:
+            # order-preserving member dedup
+            tps = [reader.postings(t) for t in dict.fromkeys(terms)]
+            parts = [tp.arrays() for tp in tps if tp is not None]
+            if not parts:
                 continue
-            ids, tfs, dls = tp.arrays()
-            parts_ids.append(ids)
-            parts_tfs.append(tfs)
-            parts_dls.append(dls)
-        if not parts_ids:
-            continue
-        all_ids = np.concatenate(parts_ids)
-        uids, inv = np.unique(all_ids, return_inverse=True)
-        tf = np.bincount(inv, weights=np.concatenate(parts_tfs).astype(np.float64))
-        dl = np.zeros(len(uids), dtype=np.float64)
-        dl[inv] = np.concatenate(parts_dls)  # doc length is per-doc, any member wins
-        df = len(uids)
-        idf = np.log((n - df + 0.5) / (df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores[uids] += idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * (dl / avgdl))) * qterm
-        touched[uids] = True
-    deleted = reader.deleted_mask()
-    if deleted is not None:
-        touched &= ~deleted
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+            uids, inv = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+            tf = np.bincount(inv, weights=np.concatenate([p[1] for p in parts]).astype(np.float64))
+            dl = np.zeros(len(uids), dtype=np.float64)
+            dl[inv] = np.concatenate([p[2] for p in parts])  # doc length is per-doc, any member wins
+            yield uids, tf, dl, len(uids), qtf
+
+    scores, matched = _accumulate(
+        reader.n_docs, postings(), _bm25(reader.n_docs, reader.avgdl, k1, b, k3)
+    )
+    return _rank(scores, matched > 0, reader)
 
 
 def tfidf_scores_f64(reader: IndexReader, keywords: list[tuple[str, int]]) -> tuple[np.ndarray, np.ndarray]:
     n = reader.n_docs
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, _qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, _dls = tp.arrays()
-        idf = np.log(float(n // tp.df))
-        scores[ids] += np.log1p(tfs) * idf
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+
+    def contrib(tfs, dls, df, qtf):
+        return np.log1p(tfs) * np.log(float(n // df))
+
+    scores, matched = _accumulate(n, _postings(reader, keywords), contrib)
+    return _rank(scores, matched > 0, reader)
 
 
 def dedup_pages(input_path: str, out_dir: str, key: str = "url") -> str:
@@ -590,36 +606,16 @@ def bm25_filtered_scores_f64(
     candidates restricted to the ``allowed`` boolean mask over doc
     ordinals (e.g. lang == 'en').
 
-    The filter applies INSIDE accumulation (posting entries of disallowed
-    docs add nothing), so the returned ranking is exact — not a
-    post-filter of an unfiltered top-k, which can under-fill k.  At
-    cluster scale the mask is one bit per doc (125 MB per 10^9 docs),
-    broadcast once via ray.put to scorer actors."""
-    import numpy as np
-
-    n = reader.n_docs
-    avgdl = reader.avgdl
+    The mask restricts the candidate set of the full ranking (a doc's sum
+    depends only on its own postings, so its score is unchanged) — the
+    returned ranking is exact, not a post-filter of an unfiltered top-k,
+    which can under-fill k.  At cluster scale the mask is one bit per doc
+    (125 MB per 10^9 docs), broadcast once via ray.put to scorer actors."""
     allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != (n,):
-        raise ValueError(f"allowed mask must have shape ({n},)")
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        ok = allowed[ids]
-        if not ok.any():
-            continue
-        ids, tfs, dls = ids[ok], tfs[ok], dls[ok]
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores[ids] += idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+    if allowed.shape != (reader.n_docs,):
+        raise ValueError(f"allowed mask must have shape ({reader.n_docs},)")
+    scores, matched = _bm25_sums(reader, keywords, k1, b, k3)
+    return _rank(scores, (matched > 0) & allowed, reader)
 
 
 def facet_counts(
@@ -777,10 +773,8 @@ def bm25_boosted_scores_f64(
     boost = np.asarray(boost, dtype=np.float64)
     if boost.shape != (reader.n_docs,):
         raise ValueError(f"boost must have shape ({reader.n_docs},)")
-    ids, scores = bm25_scores_f64(reader, keywords, k1=k1, b=b, k3=k3)
-    scores = scores * boost[ids]
-    order = np.lexsort((ids, -scores))
-    return ids[order], scores[order]
+    scores, matched = _bm25_sums(reader, keywords, k1, b, k3)
+    return _rank(scores * boost, matched > 0, reader)
 
 
 def prf_expanded_bm25_f64(
@@ -798,15 +792,11 @@ def prf_expanded_bm25_f64(
     corpus df), re-score with the expanded term set (expansions at
     qtf=1).  Returns (doc_ids, scores, expansion_terms).
 
-    Tombstone-aware like every other query surface: deleted docs are
-    dropped from BOTH the feedback set (a dead doc must not seed
-    expansions) and the final ranking (round-3 advice)."""
+    Both BM25 passes drop tombstoned docs, so a dead doc neither seeds
+    expansions nor ranks."""
     from .engine.prf import feedback_terms
 
-    dmask = reader.deleted_mask()
     ids0, _ = bm25_scores_f64(reader, keywords)
-    if dmask is not None:
-        ids0 = ids0[~dmask[ids0]]
     fb_ids = [str(reader.doc_names[d]) for d in ids0[:fb_docs]]
     expansions = feedback_terms(
         docs_ds,
@@ -821,9 +811,6 @@ def prf_expanded_bm25_f64(
     )
     expanded = list(keywords) + [(t, 1) for t, _ in expansions]
     ids, scores = bm25_scores_f64(reader, expanded)
-    if dmask is not None:
-        keep = ~dmask[ids]
-        ids, scores = ids[keep], scores[keep]
     return ids, scores, [t for t, _ in expansions]
 
 
@@ -843,27 +830,17 @@ def lmd_scores_f64(
     from build stats.  Ties -> ascending docID.  Registered as scorer
     'lmd' via engine.search.register_scorer (the extension surface the
     reference exposes via its Scorer classes, SURVEY §2.10)."""
-    n = reader.n_docs
     c_total = float(reader.stats["sum_dl"])
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    dl_dense = np.zeros(n, dtype=np.float64)
-    qtf_total = 0
-    for term, qtf in keywords:
-        qtf_total += qtf
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        cf = float(tfs.sum())
-        p_c = mu * (cf / c_total)
-        scores[ids] += qtf * np.log(1.0 + tfs / p_c)
-        dl_dense[ids] = dls
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    scores[cand] += qtf_total * np.log(mu / (dl_dense[cand] + mu))
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+
+    def contrib(tfs, dls, df, qtf):
+        p_c = mu * (float(tfs.sum()) / c_total)
+        return qtf * np.log(1.0 + tfs / p_c)
+
+    scores, matched = _accumulate(reader.n_docs, _postings(reader, keywords), contrib)
+    touched = matched > 0
+    qtf_total = sum(qtf for _, qtf in keywords)
+    scores[touched] += qtf_total * np.log(mu / (reader.doc_lens[touched] + mu))
+    return _rank(scores, touched, reader)
 
 
 def lmjm_scores_f64(
@@ -885,22 +862,15 @@ def lmjm_scores_f64(
     scorer 'lmjm' via engine.search.register_scorer (extension surface,
     SURVEY §2.10; reference scorer classes at
     /root/reference/src/Querying/Scorer.cs)."""
-    n = reader.n_docs
     c_total = float(reader.stats["sum_dl"])
     ratio = (1.0 - lam) / lam
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
+
+    def contrib(tfs, dls, df, qtf):
         p_c = float(tfs.sum()) / c_total
-        scores[ids] += qtf * np.log(1.0 + ratio * (tfs / dls) / p_c)
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+        return qtf * np.log(1.0 + ratio * (tfs / dls) / p_c)
+
+    scores, matched = _accumulate(reader.n_docs, _postings(reader, keywords), contrib)
+    return _rank(scores, matched > 0, reader)
 
 
 def pivoted_scores_f64(
@@ -924,21 +894,15 @@ def pivoted_scores_f64(
     reference scorer classes at /root/reference/src/Querying/Scorer.cs)."""
     n = reader.n_docs
     avgdl = reader.avgdl
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        idf = np.log((n + 1.0) / tp.df)
+
+    def contrib(tfs, dls, df, qtf):
+        idf = np.log((n + 1.0) / df)
         dampened = 1.0 + np.log(1.0 + np.log(tfs.astype(np.float64)))
         pivot = (1.0 - s) + s * (dls / avgdl)
-        scores[ids] += qtf * (dampened / pivot) * idf
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+        return qtf * (dampened / pivot) * idf
+
+    scores, matched = _accumulate(n, _postings(reader, keywords), contrib)
+    return _rank(scores, matched > 0, reader)
 
 
 def pl2_scores_f64(
@@ -967,13 +931,8 @@ def pl2_scores_f64(
     avgdl = reader.avgdl
     ln2 = np.log(2.0)
     log2e = 1.0 / ln2
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
+
+    def contrib(tfs, dls, df, qtf):
         lam = float(tfs.sum()) / n
         tfn = tfs * (np.log(1.0 + c * avgdl / dls) / ln2)
         gain = (1.0 / (tfn + 1.0)) * (
@@ -981,11 +940,10 @@ def pl2_scores_f64(
             + (lam - tfn) * log2e
             + 0.5 * (np.log(2.0 * np.pi * tfn) / ln2)
         )
-        scores[ids] += qtf * gain
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+        return qtf * gain
+
+    scores, matched = _accumulate(n, _postings(reader, keywords), contrib)
+    return _rank(scores, matched > 0, reader)
 
 
 def cascade_scores_f64(
@@ -995,52 +953,28 @@ def cascade_scores_f64(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-stage cascade ranking (Wang, Lin & Metzler, SIGIR 2011): a
     cheap first-stage ranker (TF-IDF) cuts the candidate set to its
-    top-``n_first``, and only those docs are scored by the expensive
+    top-``n_first``, and only those docs are ranked by the expensive
     second stage (BM25).  The serving pattern behind every modern
     retrieve-then-rerank stack; here both stages are the f64 twins so the
     result is SQL-exact.
 
     First-stage cut is (tfidf desc, numeric docID asc) when doc names
-    are numeric (matching SQL's row_number), ordinal otherwise.  Docs
-    outside the cut are NEVER ranked, even if their BM25 score would
-    beat the winners — that loss is the cascade trade, pinned by tests.
-    Ties in the final ranking -> ascending docID."""
+    are numeric (matching SQL's row_number), ordinal otherwise; it is
+    taken over live docs.  Docs outside the cut are NEVER ranked, even
+    if their BM25 score would beat the winners — that loss is the
+    cascade trade, pinned by tests.  Ties in the final ranking ->
+    ascending docID."""
     if n_first < 1:
         raise ValueError(f"cascade_scores_f64: n_first must be >= 1 (got {n_first})")
     ids_t, sc_t = tfidf_scores_f64(reader, keywords)
     try:
-        nd = np.asarray([int(reader.doc_names[d]) for d in ids_t], dtype=np.int64)
+        nd = _numeric_names(reader, ids_t)
     except ValueError:
-        nd = np.asarray(ids_t, dtype=np.int64)
+        nd = ids_t
     cut = np.lexsort((nd, -sc_t))[:n_first]
-    cand_mask = np.zeros(reader.n_docs, dtype=bool)
-    cand_mask[ids_t[cut]] = True
-    # second stage: accumulate BM25 ONLY over candidate postings (the
-    # per-doc accumulation is independent, so masking each term's
-    # posting list to the candidate set yields bit-identical scores at
-    # candidate-bounded cost — the actual cascade saving)
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    k1, b, k3 = 1.2, 0.75, 100.0
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        m = cand_mask[ids]
-        if not m.any():
-            continue
-        ids, tfs, dls = ids[m], tfs[m], dls[m]
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        # token-for-token the bm25_scores_f64 accumulation
-        scores[ids] += idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        touched[ids] = True
-    out = np.flatnonzero(touched)
-    order = np.lexsort((out, -scores[out]))
-    return out[order], scores[out][order]
+    allowed = np.zeros(reader.n_docs, dtype=bool)
+    allowed[ids_t[cut]] = True
+    return bm25_filtered_scores_f64(reader, keywords, allowed)
 
 
 def msm_bm25_scores_f64(
@@ -1051,33 +985,16 @@ def msm_bm25_scores_f64(
     """Minimum-should-match disjunctive BM25 (the Lucene ``mm`` operator):
     rank only docs matching at least ``min_should_match`` DISTINCT query
     terms — the middle ground between pure OR (mm=1) and conjunctive AND
-    (mm=|q|).  Same per-term accumulation as bm25_scores_f64 plus an
-    integer matched-term counter; the filter is a vectorized mask, no
-    extra postings read.  Ties -> ascending docID."""
+    (mm=|q|).  Same accumulation as bm25_scores_f64; the candidate rule
+    reads its matched-term counts, no extra postings read.  Ties ->
+    ascending docID."""
     if min_should_match < 1:
         raise ValueError(
             f"msm_bm25_scores_f64: min_should_match must be >= 1 "
             f"(got {min_should_match})"
         )
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    k1, b, k3 = 1.2, 0.75, 100.0
-    scores = np.zeros(n, dtype=np.float64)
-    matched = np.zeros(n, dtype=np.int64)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        # token-for-token the bm25_scores_f64 accumulation (op order
-        # matters for micros exactness)
-        scores[ids] += idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        matched[ids] += 1
-    cand = np.flatnonzero(matched >= min_should_match)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+    scores, matched = _bm25_sums(reader, keywords)
+    return _rank(scores, matched >= min_should_match, reader)
 
 
 def relaxed_bm25_scores_f64(
@@ -1087,42 +1004,23 @@ def relaxed_bm25_scores_f64(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Query-relaxation ladder (the serving pattern between AND and OR):
     try minimum-should-match m = |q| (pure conjunction) and relax one
-    level at a time until at least ``k`` docs match; rank that level with
-    BM25.  Returns (ids, scores, m_used).  A query whose OR set is still
-    smaller than k returns it with m_used = 1.
+    level at a time until at least ``k`` live docs match; rank that level
+    with BM25.  Returns (ids, scores, m_used).  A query whose OR set is
+    still smaller than k returns it with m_used = 1.
 
-    One postings read total: the matched-term counter from the standard
-    accumulation serves every ladder level — relaxation is a pure
-    driver-side threshold choice, no re-scoring."""
+    One postings read total: the OR ranking is computed once and every
+    ladder level is a filter of it by matched-term count — relaxation is
+    a pure driver-side threshold choice, no re-scoring."""
     if k < 1:
         raise ValueError(f"relaxed_bm25_scores_f64: k must be >= 1 (got {k})")
-    n = reader.n_docs
-    avgdl = reader.avgdl
-    k1, b, k3 = 1.2, 0.75, 100.0
-    scores = np.zeros(n, dtype=np.float64)
-    matched = np.zeros(n, dtype=np.int64)
-    n_terms = 0
-    for term, qtf in keywords:
-        n_terms += 1
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        idf = np.log((n - tp.df + 0.5) / (tp.df + 0.5))
-        qterm = ((k3 + 1) * qtf) / (k3 + qtf)
-        scores[ids] += idf * (tfs * (k1 + 1)) / (tfs + k1 * (1 - b + b * (dls / avgdl))) * qterm
-        matched[ids] += 1
-    # counts per level in one histogram pass: docs matching >= m
-    hist = np.bincount(matched, minlength=max(n_terms, 1) + 1)
-    ge = np.cumsum(hist[::-1])[::-1]  # ge[m] = #docs with matched >= m
-    m_used = 1
-    for m in range(n_terms, 0, -1):
-        if ge[m] >= k:
-            m_used = m
-            break
-    cand = np.flatnonzero(matched >= m_used)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order], m_used
+    scores, matched = _bm25_sums(reader, keywords)
+    ids, scores = _rank(scores, matched > 0, reader)
+    m_ids = matched[ids]
+    # counts per level in one histogram pass: live docs matching >= m
+    ge = np.cumsum(np.bincount(m_ids, minlength=len(keywords) + 1)[::-1])[::-1]
+    m_used = max((m for m in range(1, len(keywords) + 1) if ge[m] >= k), default=1)
+    keep = m_ids >= m_used
+    return ids[keep], scores[keep], m_used
 
 
 def bm25_search_after_f64(
@@ -1140,11 +1038,10 @@ def bm25_search_after_f64(
     cursor comparison is integer-exact and a SQL oracle paginates
     identically.  Requires numeric doc names (the keyset needs a total
     order shared with SQL)."""
-    ids, scores = bm25_scores_f64(reader, keywords)
-    m = np.floor(scores * 1_000_000.0 + 0.5).astype(np.int64)
-    docs = np.asarray([int(reader.doc_names[d]) for d in ids], dtype=np.int64)
-    order = np.lexsort((docs, -m))
-    m, docs = m[order], docs[order]
+    scores, matched = _bm25_sums(reader, keywords)
+    micros = np.floor(scores * 1_000_000.0 + 0.5)
+    ids, m = _rank(micros, matched > 0, reader, numeric_ties=True)
+    m, docs = m.astype(np.int64), _numeric_names(reader, ids)
     if cursor is not None:
         cs, cd = int(cursor[0]), int(cursor[1])
         keep = (m < cs) | ((m == cs) & (docs > cd))
@@ -1162,20 +1059,17 @@ def sort_matches_by_field(
     id_column: str = "doc_id",
 ) -> pa.Table:
     """Rank the query's OR-match set by a METADATA column instead of the
-    text score (the 'sort by price/date' engine feature): match docs from
-    the postings (disjunctive), then ONE column-pruned filtered pass over
+    text score (the 'sort by price/date' engine feature): match live docs
+    from the postings (boolean OR), then ONE column-pruned filtered pass over
     the docs table (vectorized isin against the broadcast match-name set)
     and a bounded top-k by (field, doc).
 
     Returns (doc_id, field) top-k, ties -> ascending doc_id.  The match
     set ships as a broadcast name set — at corpus scale swap in the
     dedup-apply semi-join; the fold itself never exceeds k rows/batch."""
-    matched = np.zeros(reader.n_docs, dtype=bool)
-    for term, _qtf in keywords:
-        tp = reader.postings(term)
-        if tp is not None:
-            matched[tp.arrays()[0]] = True
-    names = {int(reader.doc_names[d]) for d in np.flatnonzero(matched)}
+    from .engine.boolean import boolean_or
+
+    names = {int(reader.doc_names[d]) for d in boolean_or(reader, [t for t, _ in keywords])}
 
     import ray
 
@@ -1224,10 +1118,8 @@ def prior_boosted_bm25_f64(
     array is 8 B/doc per shard slice — the doc-range sharded query path
     (engine/sharded_search.py) holds only its shard's slice, never the
     global vector."""
-    ids, scores = bm25_scores_f64(reader, keywords)
-    scores = scores + lam * np.log1p(prior[ids])
-    order = np.lexsort((ids, -scores))
-    return ids[order], scores[order]
+    scores, matched = _bm25_sums(reader, keywords)
+    return _rank(scores + lam * np.log1p(prior), matched > 0, reader)
 
 
 def source_doc_count_prior(docs_ds, reader: IndexReader) -> np.ndarray:
@@ -1377,9 +1269,7 @@ def maxp_bm25_f64(
     ids, scores = bm25_scores_f64(chunk_reader, keywords)
     if len(ids) == 0:
         return np.empty(0, np.int64), np.empty(0, np.float64)
-    keys = np.asarray(
-        [int(chunk_reader.doc_names[i]) for i in ids], dtype=np.int64
-    )
+    keys = _numeric_names(chunk_reader, ids)
     docs = keys // _MAXP_KEY_BASE
     chunk_no = keys % _MAXP_KEY_BASE
     if agg == "max":
@@ -1420,9 +1310,10 @@ def phrase_bm25_f64(
     pf = phrase matches in d (positions.phrase_search — pruned two-term
     sidecar read, never a corpus pass), df_p = number of matching docs,
     N/avgdl/dl from the main index (the sidecar and index must share
-    build options so kept-token doc lengths agree).  Ties -> ascending
-    numeric doc name, matching the SQL row_number convention.  Returns
-    (ordinals, scores)."""
+    build options so kept-token doc lengths agree).  The phrase is one
+    pseudo-term through the shared accumulate-and-rank step.  Ties ->
+    ascending numeric doc name, matching the SQL row_number convention.
+    Returns (ordinals, scores)."""
     import json
 
     from .engine.positions import phrase_search
@@ -1440,8 +1331,6 @@ def phrase_bm25_f64(
         )
 
     tbl = phrase_search(pos_dir, phrase, options=options)
-    if tbl.num_rows == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
     raw_ids = np.asarray(tbl["doc_id"], dtype=np.int64)
     pf = np.asarray(tbl["n_matches"], dtype=np.float64)
     ords = np.asarray(
@@ -1453,13 +1342,12 @@ def phrase_bm25_f64(
             f"phrase_bm25_f64: sidecar docs absent from the index "
             f"(e.g. {missing}) — rebuild the positional sidecar to match"
         )
-    n = reader.n_docs
-    df_p = float(len(raw_ids))
-    idf = np.log((n - df_p + 0.5) / (df_p + 0.5))
-    dls = reader.doc_lens[ords].astype(np.float64)
-    scores = idf * (pf * (k1 + 1)) / (pf + k1 * (1 - b + b * (dls / reader.avgdl)))
-    order = np.lexsort((raw_ids, -scores))
-    return ords[order], scores[order]
+    scores, matched = _accumulate(
+        reader.n_docs,
+        [(ords, pf, reader.doc_lens[ords], len(raw_ids), 1)],
+        _bm25(reader.n_docs, reader.avgdl, k1, b),
+    )
+    return _rank(scores, matched > 0, reader, numeric_ties=True)
 
 
 def collapse_ranking(
@@ -1504,21 +1392,15 @@ def bm25plus_scores_f64(
     no query term score 0 both here and in the oracle)."""
     n = reader.n_docs
     avgdl = reader.avgdl
-    scores = np.zeros(n, dtype=np.float64)
-    touched = np.zeros(n, dtype=bool)
-    for term, qtf in keywords:
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, tfs, dls = tp.arrays()
-        idf = np.log((n + 1.0) / tp.df)
+
+    def contrib(tfs, dls, df, qtf):
+        idf = np.log((n + 1.0) / df)
         qterm = ((k3 + 1) * qtf) / (k3 + qtf)
         K = k1 * (1 - b + b * (dls / avgdl))
-        scores[ids] += idf * ((tfs * (k1 + 1)) / (tfs + K) + delta) * qterm
-        touched[ids] = True
-    cand = np.flatnonzero(touched)
-    order = np.lexsort((cand, -scores[cand]))
-    return cand[order], scores[cand][order]
+        return idf * ((tfs * (k1 + 1)) / (tfs + K) + delta) * qterm
+
+    scores, matched = _accumulate(n, _postings(reader, keywords), contrib)
+    return _rank(scores, matched > 0, reader)
 
 
 def bm25_proximity_boosted_f64(
@@ -1537,7 +1419,7 @@ def bm25_proximity_boosted_f64(
     is pair-output-sized, never a corpus pass."""
     from .engine.positions import proximity_search
 
-    ids, scores = bm25_scores_f64(reader, keywords)
+    scores, matched = _bm25_sums(reader, keywords)
     boost = np.zeros(reader.n_docs, dtype=np.float64)
     for (t1, _), (t2, _) in zip(keywords, keywords[1:]):
         tbl = proximity_search(pos_dir, t1, t2, window, options=options)
@@ -1547,9 +1429,7 @@ def bm25_proximity_boosted_f64(
             o = reader.doc_id_of(str(name))
             if o >= 0:
                 boost[o] += float(n_pairs)
-    scores = scores + lam * np.log1p(boost[ids])
-    order = np.lexsort((ids, -scores))
-    return ids[order], scores[order]
+    return _rank(scores + lam * np.log1p(boost), matched > 0, reader)
 
 
 def sdm_scores_f64(
@@ -1645,9 +1525,4 @@ def sdm_scores_f64(
         if u_cf > 0.0:
             score += lam_u * np.log((u_dense + mu * u_cf / c_total) / (dl + mu))
 
-    cand = np.flatnonzero(touched)
-    if len(cand) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    raw_ids = np.asarray([int(reader.doc_names[d]) for d in cand], dtype=np.int64)
-    order = np.lexsort((raw_ids, -score[cand]))
-    return cand[order], score[cand][order]
+    return _rank(score, touched, reader, numeric_ties=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from search_engine_ray.config import BM25Params, BuildConfig
+from search_engine_ray.config import BM25Params, BuildConfig, IndexOptions
 from search_engine_ray.corpus.pages import write_pages_parquet
 from search_engine_ray.engine.build import build_index
 from search_engine_ray.engine.index_reader import IndexReader
@@ -68,29 +68,224 @@ def test_delete_excludes_and_keeps_scores(index_dir):
         assert list(zip(names_d, d_scores))[: len(exp)] == exp
 
 
-def test_synonym_and_conjunctive_honor_tombstones(index_dir):
-    """Review finding: synonym_bm25_f64 once returned deleted docs.  Both
-    the synonym path and ranked-AND must keep the 'tombstoned docs never
-    appear in results' invariant every other surface enforces."""
-    from search_engine_ray.config import BM25Params
-    from search_engine_ray.engine.scoring import conjunctive_bm25
-    from search_engine_ray.pipelines import synonym_bm25_f64
+F64_OPTS = IndexOptions(stemming=False)
+F64_KWS = [("alpha", 1), ("beta", 1), ("gamma", 2)]
 
-    kws = _kws(index_dir)
-    r0 = IndexReader(index_dir)
-    groups = [([t], q) for t, q in kws]
-    base_ids, _ = synonym_bm25_f64(r0, groups)
-    assert len(base_ids) >= 3
-    work = f"{BASE}/idx_syn"
-    shutil.rmtree(work, ignore_errors=True)
-    shutil.copytree(index_dir, work)
-    victims = [str(r0.doc_names[d]) for d in base_ids[:2]]
-    delete_docs(work, victims)
-    r = IndexReader(work)
-    s_ids, _ = synonym_bm25_f64(r, groups)
-    assert not {str(r.doc_names[d]) for d in s_ids} & set(victims)
-    c_ids, _ = conjunctive_bm25(r, kws, BM25Params(), k=1000)
-    assert not {str(r.doc_names[d]) for d in c_ids} & set(victims)
+
+@pytest.fixture(scope="module")
+def f64_pair(ray_session, tmp_path_factory):
+    """A clean index and a copy with the query's top BM25 doc, its top
+    TF-IDF doc and its best doc matching every term and the phrase
+    "alpha beta" tombstoned, over one corpus whose numeric names double
+    as MaxP chunk keys (doc * 1e6 + chunk 0), plus the positional
+    sidecar, champion lists (m >= every df, so exact) and the docs table
+    PRF reads."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+    import ray.data
+
+    from search_engine_ray.engine.champions import build_champion_lists
+    from search_engine_ray.engine.positions import build_position_index, phrase_search
+    from search_engine_ray.pipelines import bm25_scores_f64, tfidf_scores_f64
+
+    root = str(tmp_path_factory.mktemp("f64"))
+    rng = np.random.default_rng(11)
+    vocab = np.array(["alpha", "beta", "gamma", "delta", "omega", "kappa"])
+    texts = [
+        " ".join(rng.choice(vocab, size=int(rng.integers(3, 14)), p=[0.25, 0.2, 0.15, 0.15, 0.15, 0.1]))
+        for _ in range(60)
+    ]
+    os.makedirs(f"{root}/corpus")
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array(np.arange(60, dtype=np.int64) * 1_000_000),
+            "text": pa.array(texts),
+        }),
+        f"{root}/corpus/docs.parquet",
+    )
+    clean, tomb = f"{root}/clean", f"{root}/tomb"
+    build_index(
+        f"{root}/corpus", clean, BuildConfig(options=F64_OPTS, block_entries=16),
+        source_column="text", name_column="doc_id", overwrite=True,
+    )
+    build_position_index(
+        f"{root}/corpus", f"{root}/pos", F64_OPTS, source_column="text", name_column="doc_id"
+    )
+    build_champion_lists(clean, f"{root}/champ", m=128)
+    r0 = IndexReader(clean)
+    ids0, _ = bm25_scores_f64(r0, F64_KWS)
+    phrased = _ords(r0, phrase_search(f"{root}/pos", ["alpha", "beta"], options=F64_OPTS)["doc_id"].to_pylist())
+    matched = _matched(r0)
+    full = [d for d in ids0 if matched[d] == len(F64_KWS) and d in phrased]
+    victim_ords = {ids0[0], tfidf_scores_f64(r0, F64_KWS)[0][0], full[0]}
+    victims = [str(r0.doc_names[d]) for d in victim_ords]
+    shutil.copytree(clean, tomb)
+    delete_docs(tomb, victims)
+    r = IndexReader(tomb)
+    dead = np.flatnonzero(r.deleted_mask())
+    assert sorted(str(r.doc_names[d]) for d in dead) == sorted(victims)
+    return SimpleNamespace(
+        r0=r0, r=r, dead=dead, pos=f"{root}/pos", champ=f"{root}/champ",
+        docs_ds=ray.data.read_parquet(f"{root}/corpus"),
+        allowed=rng.random(60) < 0.7, boost=rng.random(60) * 2,
+        prior=rng.integers(0, 9, 60).astype(np.float64),
+    )
+
+
+def _ords(r, names):
+    return np.asarray([r.doc_id_of(str(x)) for x in names], dtype=np.int64)
+
+
+def _f64_runners():
+    from search_engine_ray import pipelines as pl
+    from search_engine_ray.engine.champions import champion_topk
+
+    terms = [t for t, _ in F64_KWS]
+
+    def maxp(agg):
+        def run(c, r):
+            docs, sc = pl.maxp_bm25_f64(r, F64_KWS, agg=agg)
+            return _ords(r, docs * 1_000_000), sc
+        return run
+
+    def federated(c, r):
+        # the clean copy first, the reader under test second: its global
+        # ids minus the offset are its ordinals (the first copy's go < 0)
+        ids, sc, names = pl.federated_bm25_f64([c.r0, r], F64_KWS)
+        return ids - c.r0.n_docs, sc, names.tolist()
+
+    def search_after(c, r):
+        docs, micros = pl.bm25_search_after_f64(r, F64_KWS, k=1000)
+        return _ords(r, docs), micros
+
+    return {
+        "bm25": lambda c, r: pl.bm25_scores_f64(r, F64_KWS),
+        "federated": federated,
+        "conjunctive": lambda c, r: pl.conjunctive_bm25_f64(r, F64_KWS[:2]),
+        "synonym": lambda c, r: pl.synonym_bm25_f64(r, [(["alpha", "delta"], 1), (["beta"], 2)]),
+        "tfidf": lambda c, r: pl.tfidf_scores_f64(r, F64_KWS),
+        "filtered": lambda c, r: pl.bm25_filtered_scores_f64(r, F64_KWS, c.allowed),
+        "boosted": lambda c, r: pl.bm25_boosted_scores_f64(r, F64_KWS, c.boost),
+        "prf": lambda c, r: pl.prf_expanded_bm25_f64(r, c.docs_ds, F64_KWS, F64_OPTS, fb_docs=3, fb_terms=2),
+        "lmd": lambda c, r: pl.lmd_scores_f64(r, F64_KWS),
+        "lmjm": lambda c, r: pl.lmjm_scores_f64(r, F64_KWS),
+        "pivoted": lambda c, r: pl.pivoted_scores_f64(r, F64_KWS),
+        "pl2": lambda c, r: pl.pl2_scores_f64(r, F64_KWS),
+        "cascade": lambda c, r: pl.cascade_scores_f64(r, F64_KWS, n_first=5),
+        "msm": lambda c, r: pl.msm_bm25_scores_f64(r, F64_KWS, min_should_match=2),
+        "relaxed": lambda c, r: pl.relaxed_bm25_scores_f64(r, F64_KWS, k=_relax_k(c)),
+        "search_after": search_after,
+        "prior_boosted": lambda c, r: pl.prior_boosted_bm25_f64(r, F64_KWS, c.prior),
+        "maxp_max": maxp("max"),
+        "maxp_sum": maxp("sum"),
+        "maxp_first": maxp("first"),
+        "phrase": lambda c, r: pl.phrase_bm25_f64(r, c.pos, ["alpha", "beta"], options=F64_OPTS),
+        "bm25plus": lambda c, r: pl.bm25plus_scores_f64(r, F64_KWS),
+        "proximity": lambda c, r: pl.bm25_proximity_boosted_f64(r, c.pos, F64_KWS, options=F64_OPTS),
+        "sdm": lambda c, r: pl.sdm_scores_f64(r, c.pos, terms, options=F64_OPTS),
+        "champion_topk": lambda c, r: champion_topk(c.champ, r, F64_KWS, k=r.n_docs),
+    }
+
+
+def _matched(r0):
+    """Per-doc count of distinct query terms, from the clean postings."""
+    m = np.zeros(r0.n_docs, dtype=np.int64)
+    for t, _ in F64_KWS:
+        m[r0.postings(t).arrays()[0]] += 1
+    return m
+
+
+def _relax_k(c):
+    # k = the clean all-terms match count: the dead docs that match every
+    # term push the live count below k, so the ladder must step down
+    return int((_matched(c.r0) == len(F64_KWS)).sum())
+
+
+def _live(c, ids, *rest):
+    keep = ~np.isin(ids, c.dead)
+    return (ids[keep],) + tuple(x[keep] for x in rest)
+
+
+def _expected(c, name, run):
+    """The clean copy's result with the dead ordinals removed; where a
+    first stage picks docs (relaxed's ladder, cascade's cut, PRF's
+    feedback set) it picks among live docs."""
+    from search_engine_ray import pipelines as pl
+    from search_engine_ray.engine.prf import feedback_terms
+
+    if name == "relaxed":
+        live = np.ones(c.r0.n_docs, dtype=bool)
+        live[c.dead] = False
+        m = _matched(c.r0)[live]
+        k = _relax_k(c)
+        m_used = max((j for j in range(1, len(F64_KWS) + 1) if (m >= j).sum() >= k), default=1)
+        return _live(c, *pl.msm_bm25_scores_f64(c.r0, F64_KWS, min_should_match=m_used)) + (m_used,)
+    if name == "cascade":
+        ids_t, sc_t = _live(c, *pl.tfidf_scores_f64(c.r0, F64_KWS))
+        names = np.asarray([int(c.r0.doc_names[d]) for d in ids_t])
+        allowed = np.zeros(c.r0.n_docs, dtype=bool)
+        allowed[ids_t[np.lexsort((names, -sc_t))[:5]]] = True
+        return _live(c, *pl.bm25_filtered_scores_f64(c.r0, F64_KWS, allowed))
+    if name == "prf":
+        ids0, _ = _live(c, *pl.bm25_scores_f64(c.r0, F64_KWS))
+        fb = [str(c.r0.doc_names[d]) for d in ids0[:3]]
+        exp = feedback_terms(
+            c.docs_ds, fb, F64_OPTS, c.r0._df, c.r0.n_docs,
+            exclude={t for t, _ in F64_KWS}, fb_terms=2,
+        )
+        expanded = F64_KWS + [(t, 1) for t, _ in exp]
+        return _live(c, *pl.bm25_scores_f64(c.r0, expanded)) + ([t for t, _ in exp],)
+    ids, sc, *extra = run(c, c.r0)
+    return _live(c, ids, sc) + tuple(extra)
+
+
+@pytest.mark.parametrize("name", sorted(_f64_runners()))
+def test_f64_scorers_honor_tombstones(f64_pair, name):
+    """Every float64 scorer in pipelines.py, plus champion_topk: on the
+    tombstoned copy the result is the clean copy's with the dead docs
+    removed — same order, same float64 bits (statistics stay
+    corpus-wide), same extra outputs."""
+    c = f64_pair
+    run = _f64_runners()[name]
+    got = run(c, c.r)
+    want = _expected(c, name, run)
+    assert len(want[0]) > 0, "the query must rank something on the live docs"
+    assert not set(got[0].tolist()) & set(c.dead.tolist())
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].dtype == want[1].dtype
+    assert got[1].tobytes() == want[1].tobytes()
+    assert list(got[2:]) == list(want[2:])
+
+
+def test_cli_f64_queries_drop_tombstoned_doc(f64_pair, capsys, tmp_path):
+    """query --relax / --after / --sdm-positions on an index whose top BM25
+    doc is tombstoned never print that doc, and every printed doc keeps
+    the score it has on the clean index."""
+    import json
+
+    from search_engine_ray.cli import main
+    from search_engine_ray.pipelines import bm25_scores_f64
+
+    c = f64_pair
+    clean = c.r0.index_dir
+    tomb = str(tmp_path / "tomb1")
+    shutil.copytree(clean, tomb)
+    victim = str(c.r0.doc_names[bm25_scores_f64(c.r0, F64_KWS)[0][0]])
+    delete_docs(tomb, [victim])
+    q = "alpha beta gamma gamma"
+
+    def run(idx, *args):
+        assert main(["query", idx, q, *args]) == 0
+        rows = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+        rows = [x for x in rows if "doc" in x]
+        return [(str(x["doc"]), x.get("score", x.get("score_micros"))) for x in rows]
+
+    for args in (["--relax"], ["--after=99999999999,-1"], ["--sdm-positions", c.pos]):
+        before = run(clean, *args, "--k", "1000")
+        after = run(tomb, *args, "--k", "1000")
+        assert victim in dict(before), args
+        assert after == [row for row in before if row[0] != victim], args
 
 
 def test_maxscore_exact_under_tombstones(index_dir):
@@ -429,11 +624,12 @@ def test_prune_terms(index_dir, ray_session):
 
 
 def test_tombstones_cover_all_query_surfaces(index_dir, ray_session):
-    """Boolean, MLT, and custom scorers also honor tombstones: deleted
-    docs never appear in boolean results, MLT drops them, and a custom
-    scorer (whose registry signature has no exclude mask) fails loud."""
-    from search_engine_ray.config import IndexOptions
+    """Boolean, ranked AND, MLT, and custom scorers also honor tombstones:
+    deleted docs never appear in boolean or ranked-AND results, MLT drops
+    them, and a custom scorer (whose registry signature has no exclude
+    mask) fails loud."""
     from search_engine_ray.engine.boolean import boolean_and, boolean_or
+    from search_engine_ray.engine.scoring import conjunctive_bm25
     from search_engine_ray.engine.mlt import more_like_this
     from search_engine_ray.engine.search import register_scorer, score_topic
 
@@ -452,6 +648,8 @@ def test_tombstones_cover_all_query_surfaces(index_dir, ray_session):
     assert set(got_or.tolist()) == set(base_or.tolist()) - set(victims_ord)
     got_and = boolean_and(r, terms[:2])
     assert not set(got_and.tolist()) & set(victims_ord)
+    c_ids, _ = conjunctive_bm25(r, kws[:2], BM25Params(), k=1000)
+    assert len(c_ids) and not set(c_ids.tolist()) & set(victims_ord)
 
     _kws_txt = " ".join(terms)
     _, mlt_ids, _ = more_like_this(r, work, _kws_txt, IndexOptions(), k=50)
