@@ -685,8 +685,17 @@ def cmd_query(args: argparse.Namespace) -> int:
         for row in out.to_pylist():
             print(_json.dumps(row))
         return 0
+    from .engine.search import score_topic
+
+    # --filter-expr restricts the ranking to a boolean match set AFTER
+    # scoring with whole-corpus statistics (the standard filtered-search
+    # semantics, same as --filter's metadata gate) — rank everything,
+    # intersect, then cut to k
+    want_k = len(reader.doc_names) if args.filter_expr else args.k
     if args.scorer in ("lmd", "lmjm", "bm25plus", "pivoted", "pl2"):
-        from .engine.search import register_scorer
+        # the float64 scorers rank every matching doc and drop tombstoned
+        # ones themselves, so they are called directly, not as plugins
+        # (score_topic refuses plugins on a tombstoned index)
         from .pipelines import (
             bm25plus_scores_f64,
             lmd_scores_f64,
@@ -698,20 +707,12 @@ def cmd_query(args: argparse.Namespace) -> int:
         fn = {"lmd": lmd_scores_f64, "lmjm": lmjm_scores_f64,
               "bm25plus": bm25plus_scores_f64, "pivoted": pivoted_scores_f64,
               "pl2": pl2_scores_f64}[args.scorer]
-        register_scorer(
-            args.scorer,
-            lambda rd, kw, p, k: (lambda t: (t[0][:k], t[1][:k]))(fn(rd, kw)),
+        ids, scores = fn(reader, keywords)
+        ids, scores = ids[:want_k], scores[:want_k]
+    else:
+        ids, scores = score_topic(
+            reader, keywords, scorer=args.scorer, k=want_k, method=args.method
         )
-    from .engine.search import score_topic
-
-    # --filter-expr restricts the ranking to a boolean match set AFTER
-    # scoring with whole-corpus statistics (the standard filtered-search
-    # semantics, same as --filter's metadata gate) — rank everything,
-    # intersect, then cut to k
-    want_k = len(reader.doc_names) if args.filter_expr else args.k
-    ids, scores = score_topic(
-        reader, keywords, scorer=args.scorer, k=want_k, method=args.method
-    )
     if args.filter_expr:
         import numpy as np
 

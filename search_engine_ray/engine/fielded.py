@@ -116,7 +116,8 @@ def bm25f_scores_f64(
     oracle sums field contributions title-then-body; + is commutative-exact
     here only because the absent side contributes literal 0.0).
     Returns (docids desc-score asc-docid, float64 scores) like
-    pipelines.bm25_scores_f64."""
+    pipelines.bm25_scores_f64.  A doc tombstoned in any field's index
+    leaves the ranking; N and df stay corpus-wide, as there."""
     n = _check_aligned([r for r, _, _ in field_readers])
     scores = np.zeros(n, dtype=np.float64)
     touched = np.zeros(n, dtype=bool)
@@ -135,6 +136,10 @@ def bm25f_scores_f64(
         mask = wtf > 0
         scores[mask] += idf * wtf[mask] / (k1 + wtf[mask])
         touched |= mask
+    for reader, _w, _b in field_readers:
+        dead = reader.deleted_mask()
+        if dead is not None:
+            touched &= ~dead
     cand = np.flatnonzero(touched)
     order = np.lexsort((cand, -scores[cand]))
     return cand[order], scores[cand][order]

@@ -57,18 +57,27 @@ Scale shape:
 - df lookup during both passes is a PER-BATCH PRUNED read of
   terms.parquet filtered to the batch's terms (the qpp.py doubly-pruned
   pattern) — never a vocabulary broadcast.
-- serving: a probe opens ONLY its terms' bucket files (O(#query-terms)
-  file opens; term-sorted row groups prune inside), streams segments in
-  (q desc, term asc) order into a dense int accumulator; the anytime
-  budget admits the longest prefix of segments whose cumulative posting
-  count stays within rho.  Deterministic => SQL-checkable (window cumsum
-  over segment sizes).
+- serving: segments are served from memory, as JASS assumes.  Each
+  process loads a bucket file once, on the first query that needs it, as
+  the whole (term, q)-sorted table plus a term -> (first_row, end_row)
+  map; impact_meta.json is cached the same way.  Every call re-checks
+  each file it uses by os.stat (inode, mtime_ns, size) and reloads a
+  file that changed, so a rebuilt or replaced tier (both files commit
+  with os.replace) is never served stale, and a missing bucket file
+  contributes nothing.  The cache holds the last _TIERS_CACHED tiers.
+  A probe slices its terms' rows out of the loaded buckets, streams the
+  segments in (q desc, term asc) order into a dense int accumulator; the
+  anytime budget admits the longest prefix of segments whose cumulative
+  posting count stays within rho.  Deterministic => SQL-checkable
+  (window cumsum over segment sizes).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -257,17 +266,70 @@ def build_impact_index(
         "n_segments": int(written["n_segments"].sum()) if len(written) else 0,
         "n_postings": int(written["n_postings"].sum()) if len(written) else 0,
     }
-    with open(os.path.join(out_dir, "impact_meta.json"), "w") as f:
+    meta_path = os.path.join(out_dir, "impact_meta.json")
+    with open(meta_path + ".tmp", "w") as f:
         json.dump(meta, f)
+    os.replace(meta_path + ".tmp", meta_path)
     return out_dir
 
 
-def read_impact_meta(impact_dir: str) -> dict:
-    with open(os.path.join(impact_dir, "impact_meta.json")) as f:
+# Serving cache: per process, the loaded files of the last few tiers,
+# impact_dir -> {name: ((st_ino, st_mtime_ns, st_size), value)}, LRU.
+_TIERS_CACHED = 4
+_tiers: OrderedDict[str, dict] = OrderedDict()
+_tiers_lock = threading.Lock()
+
+
+def _cached(impact_dir: str, name, path: str, load):
+    """``load(path)`` of one tier file, reused while the file's os.stat
+    key is unchanged; raises FileNotFoundError (and forgets the file)
+    when it is gone."""
+    tier_key = os.path.abspath(impact_dir)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        with _tiers_lock:
+            _tiers.get(tier_key, {}).pop(name, None)
+        raise
+    stat_key = (st.st_ino, st.st_mtime_ns, st.st_size)
+    with _tiers_lock:
+        tier = _tiers.setdefault(tier_key, {})
+        _tiers.move_to_end(tier_key)
+        while len(_tiers) > _TIERS_CACHED:
+            _tiers.popitem(last=False)
+        hit = tier.get(name)
+        if hit is not None and hit[0] == stat_key:
+            return hit[1]
+    value = load(path)
+    with _tiers_lock:
+        tier[name] = (stat_key, value)
+    return value
+
+
+def _load_json(path: str) -> dict:
+    with open(path) as f:
         return json.load(f)
 
 
+def read_impact_meta(impact_dir: str) -> dict:
+    path = os.path.join(impact_dir, "impact_meta.json")
+    return dict(_cached(impact_dir, "meta", path, _load_json))
+
+
 _SEG_COLS = ["term", "q", "n", "docs_enc"]
+
+
+def _load_bucket(path: str) -> tuple[pa.Table, dict[str, tuple[int, int]]]:
+    """One bucket file as (its (term, q)-sorted segments, term ->
+    (first_row, end_row))."""
+    tbl = pq.read_table(path, columns=_SEG_COLS).combine_chunks()
+    denc = tbl["term"].combine_chunks().dictionary_encode()
+    # term-sorted rows: codes ascend run by run, in dictionary order
+    codes = np.asarray(denc.indices, dtype=np.int64)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(codes)) + 1)).tolist()
+    ends = starts[1:] + [len(codes)]
+    spans = dict(zip(denc.dictionary.to_pylist(), zip(starts, ends))) if len(codes) else {}
+    return tbl, spans
 
 
 def _qtf_map(keywords: list[tuple[str, int]]) -> dict[str, int]:
@@ -280,34 +342,35 @@ def _qtf_map(keywords: list[tuple[str, int]]) -> dict[str, int]:
 def _admitted_segments(
     impact_dir: str, meta: dict, terms: list[str], budget: int | None
 ) -> tuple[pa.Table, int]:
-    """Load the query terms' segments and apply the global anytime rule;
-    -> (admitted segments in processing order, postings admitted).
+    """Slice the query terms' segments out of their loaded bucket files
+    and apply the global anytime rule; -> (admitted segments in processing
+    order, postings admitted).
 
-    Only the query terms' bucket files are opened (O(#query-terms) file
-    opens); the (term, q)-sorted row groups prune the in-file scan.
     Segments are processed in (q desc, term asc) order and admitted while
     the cumulative posting count stays <= budget — a deterministic prefix
     the DuckDB oracle reproduces with a window cumsum."""
     from .merge import term_bucket_array
 
-    t_arr = pa.array(sorted(set(terms)), pa.string())
-    buckets = sorted(set(term_bucket_array(t_arr, meta["num_buckets"]).to_pylist()))
-    parts = []
-    for bno in buckets:
+    uniq = sorted(set(terms))
+    buckets = term_bucket_array(pa.array(uniq, pa.string()), meta["num_buckets"]).to_pylist()
+    parts, ranks = [], []
+    for rank, (term, bno) in enumerate(zip(uniq, buckets)):
         path = os.path.join(impact_dir, "segments", f"bucket={bno}", "part.parquet")
-        if os.path.exists(path):
-            parts.append(
-                pq.read_table(path, columns=_SEG_COLS, filters=pc.field("term").isin(t_arr))
-            )
+        try:
+            tbl, spans = _cached(impact_dir, bno, path, _load_bucket)
+        except FileNotFoundError:
+            continue
+        if term in spans:
+            lo, hi = spans[term]
+            parts.append(tbl.slice(lo, hi - lo))
+            ranks.append(np.full(hi - lo, rank, dtype=np.int64))
     if not parts:
         return pa.table({
             "term": pa.array([], pa.string()), "q": pa.array([], pa.int64()),
             "n": pa.array([], pa.int64()), "docs_enc": pa.array([], pa.binary()),
         }), 0
     seg = pa.concat_tables(parts)
-    qs = np.asarray(seg["q"], dtype=np.int64)
-    terms_col = seg["term"].to_pylist()
-    order = sorted(range(seg.num_rows), key=lambda i: (-qs[i], terms_col[i]))
+    order = np.lexsort((np.concatenate(ranks), -np.asarray(seg["q"], dtype=np.int64)))
     lens = np.asarray(seg["n"], dtype=np.int64)[order]
     n_adm = len(order)
     if budget is not None:
@@ -321,30 +384,25 @@ def _saat_range(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one SAAT accumulation kernel, over the docID range [lo, hi):
     each admitted segment adds ``q * qtf`` to the integer accumulators of
-    its docs in range (segments are docID-ascending, so the range slice is
-    two searchsorted probes), tombstoned docs (``exclude``, a global mask)
-    drop out, and the local top-``k`` is taken by (score desc, tie asc),
-    tie = ``doc_key[doc]`` when given (a caller-stable numeric key — the
-    SQL oracle's doc_id order), else the docID.  The whole index is the
-    range [0, n_docs).  -> (global doc ids, int64 scores)."""
+    its docs in range (one int64 scatter-add over every decoded posting),
+    tombstoned docs (``exclude``, a global mask) drop out, and the local
+    top-``k`` is taken by (score desc, tie asc), tie = ``doc_key[doc]``
+    when given (a caller-stable numeric key — the SQL oracle's doc_id
+    order), else the docID.  The whole index is the range [0, n_docs).
+    -> (global doc ids, int64 scores)."""
     width = hi - lo
     if width <= 0 or adm.num_rows == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     lens = np.asarray(adm["n"], dtype=np.int64)
     ids = decode_concat_rows(adm["docs_enc"], lens, delta=True)
-    ends = np.cumsum(lens)
     weights = np.asarray(adm["q"], dtype=np.int64) * np.asarray(
         [qtf[t] for t in adm["term"].to_pylist()], dtype=np.int64)
+    in_range = (ids >= lo) & (ids < hi)
+    local = ids[in_range] - lo
     scores = np.zeros(width, dtype=np.int64)
+    np.add.at(scores, local, np.repeat(weights, lens)[in_range])
     touched = np.zeros(width, dtype=bool)
-    for end, n, w in zip(ends.tolist(), lens.tolist(), weights.tolist()):
-        seg = ids[end - n:end]
-        a, b = np.searchsorted(seg, (lo, hi))
-        if a == b:
-            continue
-        local = seg[a:b] - lo
-        scores[local] += w
-        touched[local] = True
+    touched[local] = True
     if exclude is not None:
         touched &= ~exclude[lo:hi]
     cand = np.flatnonzero(touched)

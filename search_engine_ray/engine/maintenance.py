@@ -490,33 +490,6 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     return new_stats
 
 
-def _max_shard(postings_dir: str) -> int:
-    """Largest shard id in a postings directory, from parquet row-group
-    MIN/MAX statistics only — nothing posting-sized reaches the driver.
-    Falls back to a pruned column scan for files without stats."""
-    import pyarrow.dataset as pads
-
-    ds = pads.dataset(postings_dir)
-    idx = ds.schema.get_field_index("shard")
-    mx = -1
-    need_scan = []
-    for frag in ds.get_fragments():
-        md = frag.metadata
-        ok = False
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is not None and st.has_min_max:
-                mx = max(mx, int(st.max))
-                ok = True
-        if not ok and md.num_row_groups:
-            need_scan.append(frag)
-    for frag in need_scan:
-        t = frag.to_table(columns=["shard"])
-        if t.num_rows:
-            mx = max(mx, int(pa.compute.max(t["shard"]).as_py()))
-    return mx
-
-
 def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False) -> dict:
     """Union-merge two independently built indexes into one (the segment
     merge a long-lived engine runs when corpora are indexed in parts):
@@ -546,6 +519,7 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
     import ray.data
 
     from .merge import POSTINGS_SCHEMA, encode_blocks, term_bucket_array
+    from .sharded_search import postings_shard_ids
 
     stats = {}
     for side, d in (("a", a_dir), ("b", b_dir)):
@@ -571,7 +545,7 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
     term_buckets = max(stats["a"].get("term_buckets", 64), stats["b"].get("term_buckets", 64))
 
     _t = time.perf_counter()
-    shard_off_b = _max_shard(os.path.join(a_dir, "postings")) + 1
+    shard_off_b = max(postings_shard_ids(os.path.join(a_dir, "postings")), default=-1) + 1
     phases["plan"] = time.perf_counter() - _t
 
     def keyed(side_dir: str, doc_off: int, shard_off: int):

@@ -18,6 +18,13 @@ that cannot enter the top-k and re-folds each candidate's score in query
 order, so the returned top-k set, scores, and tie-broken ranking (ascending
 docID on equal scores) match exhaustive TAAT exactly (property-tested in
 tests/test_query.py).
+
+BM25-ADPT's k1 fit (``_getk1``) is the engine's own vectorized copy of the
+oracle's scalar grid search; the engine no longer imports the oracle, which
+stays the check (tests/test_query.py compares them bit for bit).  The 23
+squared-residual rows are summed left to right with ``np.add.accumulate``
+because ``np.sum`` sums pairwise, which rounds differently in the last bit
+from the oracle's ``sq +=`` loop.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import math
 import numpy as np
 
 from ..config import BM25Params
-from ..oracle.scorers import _getk1
 from .index_reader import Block, IndexReader, TermPostings
 
 F32 = np.float32
@@ -185,8 +191,15 @@ def adpt_cd_counts(cds: np.ndarray) -> np.ndarray:
 
 def adpt_term_params(n_docs: int, df: int, counts: np.ndarray) -> tuple[np.float32, np.float32]:
     """(k1, IGs[1]) for one term from its GLOBAL cd counts — the IG curve
-    with the truncation quirk and the k1 grid search (BM25ADPT.cs:44-168;
-    float semantics identical to the oracle, which is tested against it)."""
+    and the k1 grid search (BM25ADPT.cs:44-168; float semantics identical
+    to the oracle, which is tested against it)."""
+    igs = adpt_igs(n_docs, df, counts)
+    return _getk1(igs), igs[1]
+
+
+def adpt_igs(n_docs: int, df: int, counts: np.ndarray) -> np.ndarray:
+    """One term's float32 IG curve from its GLOBAL cd counts, with the
+    reference's truncation quirk (BM25ADPT.cs:44-140)."""
 
     def getdft(t: int) -> float:
         # The C# getdft returns float (float32): N/df/counts round through
@@ -216,7 +229,7 @@ def adpt_term_params(n_docs: int, df: int, counts: np.ndarray) -> tuple[np.float
             trunc[:i] = igs[:i]
             igs = trunc
             break
-    return _getk1(igs), igs[1]
+    return igs
 
 
 def adpt_contrib(cds: np.ndarray, qtf: int, k1: np.float32, ig1: np.float32) -> np.ndarray:
@@ -224,6 +237,54 @@ def adpt_contrib(cds: np.ndarray, qtf: int, k1: np.float32, ig1: np.float32) -> 
     with np.errstate(all="ignore"):
         ck = (cds * F32(float(k1) + 1)) / (F32(k1) + cds)
         return (F32(qtf) * ck * ig1).astype(np.float32)
+
+
+def _k1_grid() -> np.ndarray:
+    """The oracle's k1 candidates, drift included: ``j += 0.1`` from 0.2
+    while ``j <= 2.5`` (BM25ADPT.cs:141-168)."""
+    grid, j = [], 0.2
+    while j <= 2.5:
+        grid.append(j)
+        j += 0.1
+    return np.asarray(grid, dtype=np.float64)
+
+
+_K1_GRID = _k1_grid()
+# Relative gap under which two grid rows count as tied.  ``x * x`` and the
+# oracle's ``x ** 2`` (libm pow, within 0.52 ulp) differ by at most 1 ulp
+# per square, so two left-to-right sums of <= 100 squares differ by well
+# under 1e-13 relative; rows farther apart than this rank the same way in
+# both, and nearer ones are re-summed with ``** 2``.
+_K1_TIE_RTOL = 1e-12
+
+
+def _getk1(igs: np.ndarray) -> np.float32:
+    """BM25-ADPT's k1: the grid j minimising sum_t (IGs[t]/IGs[1] -
+    (j+1)t/(j+t))^2, first strict minimum (NaN never wins, 0.2 when no row
+    is finite).  Bit-identical to ``oracle.scorers._getk1``: the float32
+    ratio, the residuals and the left-to-right sums are the oracle's own
+    IEEE operations, vectorized over the (grid, t) plane."""
+    igs = np.asarray(igs, dtype=np.float32)
+    with np.errstate(all="ignore"):
+        ratio = (igs / igs[1]).astype(np.float64)
+    t = np.arange(len(igs), dtype=np.float64)
+    j = _K1_GRID[:, None]
+    resid = ratio - ((j + 1) * t) / (j + t)
+    sq = np.add.accumulate(resid * resid, axis=1)[:, -1]
+    finite = np.isfinite(sq)
+    if not finite.any():
+        return F32(_K1_GRID[0])
+    best = sq[finite].min()
+    near = np.flatnonzero(finite & (sq <= best + best * _K1_TIE_RTOL))
+    if len(near) > 1:  # near-tie: re-sum those rows exactly as the oracle
+        exact = []
+        for r in near.tolist():
+            acc = 0.0
+            for v in resid[r].tolist():
+                acc += v ** 2
+            exact.append(acc)
+        return F32(_K1_GRID[near[int(np.argmin(exact))]])
+    return F32(_K1_GRID[near[0]])
 
 
 # --------------------------------------------------------------------------

@@ -294,6 +294,29 @@ def merge_topk(topic: np.ndarray, doc_id: np.ndarray, score: np.ndarray, k: int,
     return topic[keep], doc_id[keep], score[keep], rank[keep]
 
 
+def postings_shard_ids(postings_dir: str) -> list[int]:
+    """The shard ids present in a postings directory, ascending, from the
+    Parquet footers' row-group MIN/MAX statistics: the merge writes one
+    (bucket, shard) group per task, so a row group holds one shard and no
+    posting row is read.  A file with a row group lacking statistics, or
+    spanning shards, falls back to a scan of its ``shard`` column."""
+    ds = pads.dataset(postings_dir)
+    col = ds.schema.get_field_index("shard")
+    ids: set[int] = set()
+    for frag in ds.get_fragments():
+        md = frag.metadata
+        for rg in range(md.num_row_groups):
+            if md.row_group(rg).num_rows == 0:
+                continue
+            st = md.row_group(rg).column(col).statistics
+            if st is not None and st.has_min_max and st.min == st.max:
+                ids.add(int(st.min))
+            else:
+                ids.update(frag.to_table(columns=["shard"])["shard"].to_pylist())
+                break
+    return sorted(ids)
+
+
 def search_topics_sharded(
     index_dir: str,
     topics: list[tuple[int, list[tuple[str, int]]]],
@@ -307,11 +330,7 @@ def search_topics_sharded(
     prunes INSIDE each shard (bm25/tfidf): the union of
     shard-local top-k supersets the global top-k, so the merge result stays
     bit-identical while each shard decodes only surviving blocks."""
-    post_meta = pads.dataset(os.path.join(index_dir, "postings"))
-    shards = [
-        {"shard": s}
-        for s in sorted(set(post_meta.to_table(columns=["shard"])["shard"].to_pylist()))
-    ]
+    shards = [{"shard": s} for s in postings_shard_ids(os.path.join(index_dir, "postings"))]
     adpt_params = None
     if scorer == "bm25adpt":
         # PHASE 1: per-shard cd histograms -> summed on the driver ->

@@ -88,6 +88,24 @@ def sharded_index(cli_corpus):
     return index_dir
 
 
+def test_postings_shard_ids_from_footers(sharded_index, tmp_path):
+    """The shard ids come from row-group statistics and equal a scan of
+    the shard column; a file whose one row group spans every shard falls
+    back to that scan."""
+    import pyarrow.parquet as pq
+
+    from search_engine_ray.engine.sharded_search import postings_shard_ids
+
+    post = f"{sharded_index}/postings"
+    scanned = sorted(set(pq.read_table(post, columns=["shard"])["shard"].to_pylist()))
+    assert postings_shard_ids(post) == scanned
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    tbl = pq.read_table(post)
+    pq.write_table(tbl, mixed / "all.parquet", row_group_size=tbl.num_rows)
+    assert postings_shard_ids(str(mixed)) == scanned
+
+
 def test_cli_sharded_byte_equal_run(sharded_index, tmp_path):
     """`search --sharded` writes the same run files as the default path,
     byte for byte once the run name is normalised."""

@@ -188,6 +188,59 @@ def test_unknown_terms_dropped(built):
     assert len(ids) == 0 and processed == 0
 
 
+def _head_keywords(index: str, n: int = 4) -> list[tuple[str, int]]:
+    qs, _ = _brute_quantized(index, Q)
+    return [(t, 1) for t in sorted(qs, key=lambda t: (-len(qs[t][0]), t))[:n]]
+
+
+def test_saat_serves_a_tier_rebuilt_in_place(built, tmp_path):
+    """A tier rebuilt into a directory this process already served from
+    (here with other quant_levels) is served as rebuilt, not from the copy
+    loaded before the rebuild."""
+    index, impact = built
+    kws = _head_keywords(index)
+    tier, fresh = str(tmp_path / "tier"), str(tmp_path / "fresh")
+    shutil.copytree(impact, tier)
+    before = saat_topk(tier, kws, k=20, budget=500)
+    build_impact_index(index, fresh, quant_levels=8)
+    want = saat_topk(fresh, kws, k=20, budget=500)
+    assert not np.array_equal(before[1], want[1])
+    build_impact_index(index, tier, quant_levels=8)
+    assert read_impact_meta(tier)["quant_levels"] == 8
+    got = saat_topk(tier, kws, k=20, budget=500)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_saat_missing_bucket_contributes_nothing(built, tmp_path, warm):
+    """A bucket file deleted before the first query, or after the tier
+    was loaded, drops its terms' segments without raising: the answer is
+    the intact tier's answer to the query without those terms."""
+    from search_engine_ray.engine.merge import term_bucket_array
+
+    index, impact = built
+    kws = _head_keywords(index)
+    n_buckets = read_impact_meta(impact)["num_buckets"]
+    bucket_of = dict(zip(
+        [t for t, _ in kws],
+        term_bucket_array(pa.array([t for t, _ in kws]), n_buckets).to_pylist(),
+    ))
+    gone = bucket_of[kws[0][0]]
+    rest = [(t, q) for t, q in kws if bucket_of[t] != gone]
+    assert rest
+    tier = str(tmp_path / "tier")
+    shutil.copytree(impact, tier)
+    if warm:
+        saat_topk(tier, kws, k=None)
+    os.remove(f"{tier}/segments/bucket={gone}/part.parquet")
+    for budget in (None, 300):
+        got = saat_topk(tier, kws, k=None, budget=budget)
+        want = saat_topk(impact, rest, k=None, budget=budget)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
 @pytest.mark.parametrize("n_shards", [1, 3, 5])
 def test_sharded_bit_identical(built, n_shards):
     """Doc-range-sharded SAAT == single-process SAAT, exhaustively and

@@ -140,6 +140,7 @@ def _ords(r, names):
 def _f64_runners():
     from search_engine_ray import pipelines as pl
     from search_engine_ray.engine.champions import champion_topk
+    from search_engine_ray.engine.fielded import bm25f_scores_f64
 
     terms = [t for t, _ in F64_KWS]
 
@@ -185,6 +186,8 @@ def _f64_runners():
         "proximity": lambda c, r: pl.bm25_proximity_boosted_f64(r, c.pos, F64_KWS, options=F64_OPTS),
         "sdm": lambda c, r: pl.sdm_scores_f64(r, c.pos, terms, options=F64_OPTS),
         "champion_topk": lambda c, r: champion_topk(c.champ, r, F64_KWS, k=r.n_docs),
+        # two aligned "fields" over one index: each field's mask applies
+        "bm25f": lambda c, r: bm25f_scores_f64([(r, 2.0, 0.5), (r, 1.0, 0.75)], F64_KWS),
     }
 
 
@@ -242,7 +245,7 @@ def _expected(c, name, run):
 
 @pytest.mark.parametrize("name", sorted(_f64_runners()))
 def test_f64_scorers_honor_tombstones(f64_pair, name):
-    """Every float64 scorer in pipelines.py, plus champion_topk: on the
+    """Every float64 scorer in pipelines.py, plus champion_topk and BM25F: on the
     tombstoned copy the result is the clean copy's with the dead docs
     removed — same order, same float64 bits (statistics stay
     corpus-wide), same extra outputs."""
@@ -286,6 +289,34 @@ def test_cli_f64_queries_drop_tombstoned_doc(f64_pair, capsys, tmp_path):
         after = run(tomb, *args, "--k", "1000")
         assert victim in dict(before), args
         assert after == [row for row in before if row[0] != victim], args
+
+
+@pytest.mark.parametrize("scorer", ["lmd", "lmjm", "bm25plus", "pivoted", "pl2"])
+def test_cli_f64_scorers_on_tombstoned_index(f64_pair, capsys, scorer):
+    """query --scorer lmd|lmjm|bm25plus|pivoted|pl2 on the tombstoned copy
+    exits 0 and prints the clean index's ranking minus the dead docs, each
+    with its clean-index score; --k and --filter-expr cut that ranking."""
+    import json
+
+    from search_engine_ray.cli import main
+
+    c = f64_pair
+    dead = {str(c.r.doc_names[d]) for d in c.dead}
+    q = "alpha beta gamma gamma"
+
+    def run(idx, *args):
+        assert main(["query", idx, q, "--scorer", scorer, *args]) == 0
+        rows = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+        return [(str(x["doc"]), x["score"]) for x in rows if "doc" in x]
+
+    clean = run(c.r0.index_dir, "--k", "1000")
+    assert dead & {d for d, _ in clean}
+    got = run(c.r.index_dir, "--k", "1000")
+    assert got == [row for row in clean if row[0] not in dead]
+    assert run(c.r.index_dir, "--k", "2") == got[:2]
+    alpha = {str(c.r0.doc_names[d]) for d in c.r0.postings("alpha").arrays()[0]}
+    filtered = run(c.r.index_dir, "--k", "1000", "--filter-expr", "alpha")
+    assert filtered == [row for row in got if row[0] in alpha]
 
 
 def test_maxscore_exact_under_tombstones(index_dir):

@@ -94,6 +94,46 @@ def test_bm25_adpt_matches_oracle(setup):
         _assert_same(ids, scores, score_bm25_adpt(oracle, keywords, params, K), reader)
 
 
+def test_getk1_matches_oracle_on_every_term(setup):
+    """The engine's vectorized k1 fit equals the oracle's scalar grid
+    search, float32 bit for bit, on the IG curve of every indexed term
+    (each distinct curve once: about 190 for 6.5k terms)."""
+    from search_engine_ray.engine.scoring import _getk1, adpt_cd_counts, adpt_cds, adpt_igs
+    from search_engine_ray.oracle.scorers import _getk1 as oracle_getk1
+
+    _oracle, reader, _topics = setup
+    b = BM25Params().b
+    curves = {}
+    for term in sorted(reader._df):
+        tp = reader.postings(term)
+        _ids, tfs, dls = tp.arrays()
+        igs = adpt_igs(reader.n_docs, tp.df, adpt_cd_counts(adpt_cds(tfs, dls, b, reader.avgdl)))
+        curves.setdefault(igs.tobytes(), (term, igs))
+    assert len({len(igs) for _t, igs in curves.values()}) > 1  # truncated and full curves
+    assert any(igs[1] == 0 for _t, igs in curves.values())
+    for term, igs in curves.values():
+        assert _getk1(igs).tobytes() == oracle_getk1(igs).tobytes(), term
+
+
+def test_getk1_matches_oracle_on_synthetic_curves():
+    """Bit-identical k1 on seeded curves of every length 2..100: rising,
+    truncated (last slot left at 0), IGs[1] == 0 (every ratio inf or NaN),
+    negative values, and length 2, where every grid row ties."""
+    from search_engine_ray.engine.scoring import _getk1
+    from search_engine_ray.oracle.scorers import _getk1 as oracle_getk1
+
+    rng = np.random.default_rng(10)
+    for n in range(2, 101):
+        rising = np.cumsum(rng.random(n) + 0.01).astype(np.float32)
+        truncated = rising.copy()
+        truncated[-1] = 0
+        zero_ig1 = rising.copy()
+        zero_ig1[1] = 0
+        negative = (rng.standard_normal(n) * 3).astype(np.float32)
+        for igs in (rising, truncated, zero_ig1, negative, -rising):
+            assert _getk1(igs).tobytes() == oracle_getk1(igs).tobytes(), (n, igs)
+
+
 def test_maxscore_equals_taat_bm25(setup):
     _oracle, reader, topics = setup
     params = BM25Params()
