@@ -4612,8 +4612,11 @@ def _reordered_index_dir(sf_dir: str) -> str:
     lexicographic TEXT order (a nontrivial permutation of the natural
     doc_id order — content clustering, the in-sandbox stand-in for URL
     clustering on real web corpora)."""
+    from search_engine_ray.pipelines import INDEX_LAYOUT
+
     root = os.path.join(
-        "/tmp/se_ray_cache", "reorder-" + sf_dir.strip("/").replace("/", "_")
+        "/tmp/se_ray_cache",
+        f"reorder-{INDEX_LAYOUT}-" + sf_dir.strip("/").replace("/", "_"),
     )
 
     def _build() -> None:
@@ -5656,11 +5659,11 @@ def _half_indexes_root(sf_dir: str) -> str:
     from search_engine_ray.config import BuildConfig
     from search_engine_ray.engine.build import build_index
     from search_engine_ray.engine.maintenance import merge_indexes
-    from search_engine_ray.pipelines import _CACHE_ROOT
+    from search_engine_ray.pipelines import _CACHE_ROOT, INDEX_LAYOUT
 
     src = os.path.join(sf_dir, "documents.parquet")
     key = hashlib.md5(
-        f"merged|{os.path.abspath(src)}|{os.path.getmtime(src)}|{OPT_NOSTEM.to_dict()}".encode()
+        f"merged|{INDEX_LAYOUT}|{os.path.abspath(src)}|{os.path.getmtime(src)}|{OPT_NOSTEM.to_dict()}".encode()
     ).hexdigest()[:16]
     root = os.path.join(_CACHE_ROOT, f"docidx-merged-{key}")
 
@@ -5816,11 +5819,11 @@ def _shard_indexes_root(sf_dir: str, n_shards: int = 4) -> str:
 
     from search_engine_ray.config import BuildConfig
     from search_engine_ray.engine.build import build_index
-    from search_engine_ray.pipelines import _CACHE_ROOT
+    from search_engine_ray.pipelines import _CACHE_ROOT, INDEX_LAYOUT
 
     src = os.path.join(sf_dir, "documents.parquet")
     key = hashlib.md5(
-        f"shards{n_shards}|{os.path.abspath(src)}|{os.path.getmtime(src)}|{OPT_NOSTEM.to_dict()}".encode()
+        f"shards{n_shards}|{INDEX_LAYOUT}|{os.path.abspath(src)}|{os.path.getmtime(src)}|{OPT_NOSTEM.to_dict()}".encode()
     ).hexdigest()[:16]
     root = os.path.join(_CACHE_ROOT, f"docidx-shards-{key}")
 
@@ -6197,11 +6200,11 @@ def q_bm25_upsert_top10(sf_dir: str) -> pa.Table:
     from search_engine_ray.engine.build import build_index
     from search_engine_ray.engine.index_reader import IndexReader
     from search_engine_ray.engine.maintenance import upsert_docs
-    from search_engine_ray.pipelines import _CACHE_ROOT, bm25_scores_f64
+    from search_engine_ray.pipelines import _CACHE_ROOT, INDEX_LAYOUT, bm25_scores_f64
 
     src_pq = os.path.join(sf_dir, "documents.parquet")
     key = hashlib.md5(
-        f"upsert|{os.path.abspath(src_pq)}|{os.path.getmtime(src_pq)}|{OPT_NOSTEM.to_dict()}".encode()
+        f"upsert|{INDEX_LAYOUT}|{os.path.abspath(src_pq)}|{os.path.getmtime(src_pq)}|{OPT_NOSTEM.to_dict()}".encode()
     ).hexdigest()[:16]
     root = os.path.join(_CACHE_ROOT, f"docidx-upsert-{key}")
     idx = os.path.join(root, "index")
@@ -6259,12 +6262,12 @@ def q_bm25_refreshed_top10(sf_dir: str) -> pa.Table:
     from search_engine_ray.engine.build import build_index
     from search_engine_ray.engine.index_reader import IndexReader
     from search_engine_ray.engine.maintenance import refresh_index
-    from search_engine_ray.pipelines import _CACHE_ROOT, bm25_scores_f64
+    from search_engine_ray.pipelines import _CACHE_ROOT, INDEX_LAYOUT, bm25_scores_f64
 
     src_pq = os.path.join(sf_dir, "documents.parquet")
     n_docs = _docs_nrows(sf_dir)
     key = hashlib.md5(
-        f"refresh|{os.path.abspath(src_pq)}|{os.path.getmtime(src_pq)}|{OPT_NOSTEM.to_dict()}".encode()
+        f"refresh|{INDEX_LAYOUT}|{os.path.abspath(src_pq)}|{os.path.getmtime(src_pq)}|{OPT_NOSTEM.to_dict()}".encode()
     ).hexdigest()[:16]
     root = os.path.join(_CACHE_ROOT, f"docidx-refresh-{key}")
     idx = os.path.join(root, "index")

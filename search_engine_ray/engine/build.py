@@ -11,11 +11,16 @@ binary blob.  Ray-native restatement (SURVEY.md §3.1):
     -> global stats from manifests (n_docs, avgdl)  [tiny driver reduce]
     -> read_parquet(segments) -> groupby(bucket, shard)
          -> map_groups(vectorized merge)         [stage 2: THE shuffle]
-    -> write_parquet(postings/), terms table, stats.json, .complete marker
+         each group writes its own postings/sSSSSS-bBBBBB.parquet
+         (rows sorted by (term, block_no), tmp + os.replace) and returns
+         a one-row manifest
+    -> terms table, stats.json, .complete marker
 
 Resume: stage 1 skips any fragment whose manifest exists (no data read);
 stage 2 is idempotent and re-runs only if the .complete marker is absent.
-Output is a directory of Parquet segments, never one giant file.
+Output is a directory of Parquet files, never one giant file; its
+postings layout is deterministic (two builds of one corpus are
+byte-identical), see engine/merge.py.
 """
 
 from __future__ import annotations
@@ -25,13 +30,19 @@ import os
 import shutil
 import time
 
-import pyarrow.parquet as pq
+import pyarrow as pa
 import ray
 import ray.data
 
 from ..config import BuildConfig
 from .codec import load_meta
-from .merge import add_merge_keys, make_merge_fn, POSTINGS_SCHEMA
+from .merge import (
+    POSTINGS_SCHEMA,
+    add_merge_keys,
+    make_merge_fn,
+    postings_file_name,
+    write_postings_file,
+)
 from .reader import plan_fragments
 from .segments import build_segments_batch
 
@@ -158,16 +169,27 @@ def build_index(
         fn_kwargs=dict(frags_per_shard=config.frags_per_shard, term_buckets=term_buckets),
         batch_format="pyarrow",
     )
-    merged = keyed.groupby(["bucket", "shard"]).map_groups(
-        make_merge_fn(config, avgdl), batch_format="pyarrow"
-    )
+    merge = make_merge_fn(config, avgdl)
+
+    def merge_and_write(group: pa.Table) -> pa.Table:
+        shard, bucket = group["shard"][0].as_py(), group["bucket"][0].as_py()
+        path = os.path.join(postings_dir, postings_file_name(shard, bucket))
+        return pa.table({
+            "shard": [shard], "bucket": [bucket],
+            "rows": [write_postings_file(merge(group), path)],
+        })
+
+    os.makedirs(postings_dir)
     _t = time.perf_counter()
-    merged.write_parquet(postings_dir)
-    if not os.path.isdir(postings_dir):
-        # degenerate corpus (every token filtered): write_parquet of an
-        # empty dataset creates nothing — materialize an empty index
-        os.makedirs(postings_dir, exist_ok=True)
-        pq.write_table(POSTINGS_SCHEMA.empty_table(), os.path.join(postings_dir, "part-empty.parquet"))
+    written = keyed.groupby(["bucket", "shard"]).map_groups(
+        merge_and_write, batch_format="pyarrow"
+    ).to_pandas()  # one row per (bucket, shard) file
+    if len(written) == 0:
+        # degenerate corpus (every token filtered): one empty file
+        write_postings_file(
+            POSTINGS_SCHEMA.empty_table(),
+            os.path.join(postings_dir, postings_file_name(0, 0)),
+        )
     phases["merge"] = time.perf_counter() - _t
 
     # terms table: df per term (A4 materialized) — aggregate over block

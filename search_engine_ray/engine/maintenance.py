@@ -86,6 +86,17 @@ def _write_tombstones(index_dir: str, entries: dict[str, int | None]) -> None:
     os.replace(tmp, _path(index_dir))
 
 
+def _commit_stats(out_dir: str, stats: dict) -> None:
+    """Write ``stats.json`` last, through tmp + ``os.replace``: the commit
+    point of a maintenance verb's output index, as in ``build_index``."""
+    import json
+
+    path = os.path.join(out_dir, "stats.json")
+    with open(path + ".tmp", "w") as fh:
+        json.dump(stats, fh)
+    os.replace(path + ".tmp", path)
+
+
 def tombstoned_names(index_dir: str) -> list[str]:
     """Currently tombstoned doc names (sorted; empty list if none)."""
     return sorted(read_tombstones(index_dir))
@@ -239,14 +250,18 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     corpus (tested bit-identical), and its block bounds are exact again.
 
     Dataflow (shard structure preserved — no re-tokenization, no
-    re-shuffle):
+    shuffle):
 
-        read_parquet(postings) -> add bucket key
-          -> groupby(bucket, shard) -> map_groups(vectorized: decode,
-             drop deleted entries, remap docIDs, re-block + re-bound
-             with the NEW avgdl)  [same kernel as the build merge]
+        postings_files(postings) -> one task per file (map_postings_files):
+          decode, drop deleted entries, remap docIDs, re-block + re-bound
+          with the NEW avgdl  [merge.reblock, the build merge's kernel]
+          -> the same sSSSSS-bBBBBB.parquet name in out_dir
         read_parquet(docs) -> map_batches(filter + remap) -> write
         terms/df + stats: metadata-only aggregate of the new blocks.
+
+    A postings file holds every block of its terms in its shard, so each
+    file is rewritten on its own and two compactions of one index give
+    byte-identical postings trees.
 
     The docID remap never ships as an O(n_docs) array (round-3 verdict
     #5).  Shards cover disjoint contiguous docID ranges (build assigns
@@ -262,7 +277,6 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     (docs/postings/terms/stats) — incremental append continues from the
     ORIGINAL build directory, which stays untouched.
     """
-    import json
     import shutil
     import time
 
@@ -271,10 +285,10 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     import ray
     import ray.data
 
-    from .merge import POSTINGS_SCHEMA, encode_blocks, term_bucket_array
+    from .merge import map_postings_files, postings_files, reblock, shard_first_docs
 
     stats = load_meta(os.path.join(index_dir, "stats.json"))
-    names = tombstoned_names(index_dir)
+    files = postings_files(os.path.join(index_dir, "postings"))
     if overwrite and os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
     os.makedirs(out_dir, exist_ok=False)
@@ -309,47 +323,14 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     new_sum_dl = stats["sum_dl"] - deleted_dl
     new_avgdl = new_sum_dl / new_n_docs if new_n_docs else 0.0
 
-    # shard-local remap slices: shard docID ranges from a column-pruned
-    # distributed min(first_doc)-per-shard pass (n_shards rows to the
-    # driver), then one plasma object PER SHARD holding only that range's
-    # deleted ids.  del_before[i] = deletions below range i's base.
+    # shard-local remap slices: each shard's docID range from its own
+    # files' footer statistics (no posting row is read), then one plasma
+    # object PER SHARD holding only that range's deleted ids.
+    # del_before[i] = deletions below range i's base.
     if len(deleted_ids):
-        # per-shard min(first_doc) from parquet row-group MIN/MAX statistics
-        # only (postings files are written one (bucket, shard) group per
-        # task, so row groups are single-shard; mixed row groups fall back
-        # to a column-pruned scan of just that fragment) — metadata-only,
-        # nothing posting-sized reaches the driver
-        shard_lo: dict[int, int] = {}
-        post_ds = pads.dataset(os.path.join(index_dir, "postings"))
-        s_idx = post_ds.schema.get_field_index("shard")
-        f_idx = post_ds.schema.get_field_index("first_doc")
-        for frag in post_ds.get_fragments():
-            md = frag.metadata
-            pending = []
-            for rg in range(md.num_row_groups):
-                ss = md.row_group(rg).column(s_idx).statistics
-                fs = md.row_group(rg).column(f_idx).statistics
-                if (
-                    ss is not None and ss.has_min_max and fs is not None
-                    and fs.has_min_max and int(ss.min) == int(ss.max)
-                ):
-                    s = int(ss.min)
-                    lo = int(fs.min)
-                    if s not in shard_lo or lo < shard_lo[s]:
-                        shard_lo[s] = lo
-                elif md.row_group(rg).num_rows:
-                    pending.append(rg)
-            if pending:
-                t = frag.to_table(columns=["shard", "first_doc"])
-                sh = np.asarray(t["shard"], dtype=np.int64)
-                fd = np.asarray(t["first_doc"], dtype=np.int64)
-                for s in np.unique(sh):
-                    lo = int(fd[sh == s].min())
-                    if int(s) not in shard_lo or lo < shard_lo[int(s)]:
-                        shard_lo[int(s)] = lo
         # range i covers [lo_i, lo_{i+1}); docs before the first posting
         # shard fold into range 0
-        range_lo = np.sort(np.asarray(list(shard_lo.values()), dtype=np.int64))
+        range_lo = np.sort(np.asarray(list(shard_first_docs(files).values()), dtype=np.int64))
         if len(range_lo) == 0:  # index with zero postings
             range_lo = np.zeros(1, dtype=np.int64)
         range_lo[0] = 0
@@ -384,69 +365,14 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
     k1 = stats["bm25"]["k1"]
     b = stats["bm25"]["b"]
     bk = stats["block_entries"]
-    term_buckets = stats.get("term_buckets", 64)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        term_col = (
-            batch["term"].combine_chunks()
-            if isinstance(batch["term"], pa.ChunkedArray)
-            else batch["term"]
-        )
-        return batch.append_column("bucket", term_bucket_array(term_col, term_buckets))
+    def compact_file(tbl: pa.Table, shard: int) -> pa.Table:
+        return reblock(tbl, shard, bk, k1, b, new_avgdl, _remap_ids)
 
-    def compact_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return POSTINGS_SCHEMA.empty_table()
-        shard = group["shard"][0].as_py()
-        term_col = (
-            group["term"].combine_chunks()
-            if isinstance(group["term"], pa.ChunkedArray)
-            else group["term"]
-        )
-        denc = term_col.dictionary_encode()
-        codes = np.asarray(denc.indices, dtype=np.int64)
-        order = np.lexsort((np.asarray(group["first_doc"]), codes))
-        tbl = group.select(["n", "docs_enc", "tfs_enc", "dls_enc"]).take(pa.array(order))
-        codes = codes[order]
-
-        row_lens = np.asarray(tbl["n"], dtype=np.int64)
-        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True)
-        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
-        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
-
-        new_ids, keep = _remap_ids(doc_ids)
-        entry_codes = np.repeat(codes, row_lens)[keep]
-        doc_ids, tfs, dls = new_ids[keep], tfs[keep], dls[keep]
-        if len(doc_ids) == 0:
-            return POSTINGS_SCHEMA.empty_table()
-
-        change = np.empty(len(entry_codes), dtype=bool)
-        change[0] = True
-        np.not_equal(entry_codes[1:], entry_codes[:-1], out=change[1:])
-        term_flat_starts = np.flatnonzero(change)
-        term_flat_ends = np.append(term_flat_starts[1:], len(entry_codes))
-        terms_u = denc.dictionary.take(pa.array(entry_codes[term_flat_starts]))
-
-        return encode_blocks(
-            terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, new_avgdl,
-        )
-
-    # postings rewrite
+    # postings rewrite: file by file, same names
     _t = time.perf_counter()
     out_postings = os.path.join(out_dir, "postings")
-    (
-        ray.data.read_parquet(os.path.join(index_dir, "postings"))
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby(["bucket", "shard"])
-        .map_groups(compact_group, batch_format="pyarrow")
-        .write_parquet(out_postings)
-    )
-    if not os.path.isdir(out_postings):
-        os.makedirs(out_postings, exist_ok=True)
-        pq.write_table(
-            POSTINGS_SCHEMA.empty_table(), os.path.join(out_postings, "part-empty.parquet")
-        )
+    map_postings_files(files, out_postings, compact_file)
     phases["postings"] = time.perf_counter() - _t
 
     # docs rewrite: drop deleted rows, renumber
@@ -485,8 +411,7 @@ def compact_index(index_dir: str, out_dir: str, overwrite: bool = False) -> dict
         n_compacted_out=len(deleted_ids),
         phase_sec={k: round(v, 3) for k, v in phases.items()},
     )
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(new_stats, fh)
+    _commit_stats(out_dir, new_stats)
     return new_stats
 
 
@@ -501,29 +426,28 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
 
     Scores after the merge are IDENTICAL to a fresh build over the
     concatenated corpus (tested bit-identical per term).  No
-    re-tokenization: the rewrite is decode -> rebase -> re-block via the
-    build merge's encode_blocks kernel, one groupby(bucket, shard) pass
-    over both postings sets.  Tombstones of both inputs are carried over
-    by name union.
+    re-tokenization and no shuffle: shards never mix sides, so each
+    postings file of either side is rewritten on its own (one task per
+    file, ``merge.map_postings_files``) — decode -> rebase -> re-block
+    via the build merge's ``reblock`` kernel — under its own name, B's
+    with the shifted shard id.  Tombstones of both inputs are carried
+    over by name union.
 
     Requires identical IndexOptions, BM25 params, and block_entries on
     both inputs (raises otherwise).
     """
-    import json
     import shutil
     import time
 
-    import numpy as np
-    import pyarrow.dataset as pads
-    import ray
     import ray.data
 
-    from .merge import POSTINGS_SCHEMA, encode_blocks, term_bucket_array
-    from .sharded_search import postings_shard_ids
+    from .merge import map_postings_files, postings_files, reblock
 
     stats = {}
+    files = {}
     for side, d in (("a", a_dir), ("b", b_dir)):
         stats[side] = load_meta(os.path.join(d, "stats.json"))
+        files[side] = postings_files(os.path.join(d, "postings"))
     for key in ("options", "bm25", "block_entries"):
         if stats["a"][key] != stats["b"][key]:
             raise ValueError(
@@ -542,86 +466,19 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
     k1 = stats["a"]["bm25"]["k1"]
     b = stats["a"]["bm25"]["b"]
     bk = stats["a"]["block_entries"]
-    term_buckets = max(stats["a"].get("term_buckets", 64), stats["b"].get("term_buckets", 64))
 
-    _t = time.perf_counter()
-    shard_off_b = max(postings_shard_ids(os.path.join(a_dir, "postings")), default=-1) + 1
-    phases["plan"] = time.perf_counter() - _t
-
-    def keyed(side_dir: str, doc_off: int, shard_off: int):
-        def add_keys(batch: pa.Table) -> pa.Table:
-            term_col = (
-                batch["term"].combine_chunks()
-                if isinstance(batch["term"], pa.ChunkedArray)
-                else batch["term"]
-            )
-            if shard_off:
-                batch = batch.set_column(
-                    batch.schema.get_field_index("shard"),
-                    "shard",
-                    pa.compute.cast(
-                        pa.compute.add(batch["shard"], shard_off), pa.int32()
-                    ),
-                )
-            n = batch.num_rows
-            return batch.append_column(
-                "bucket", term_bucket_array(term_col, term_buckets)
-            ).append_column(
-                "doc_off", pa.array(np.full(n, doc_off, dtype=np.int64))
-            )
-
-        return ray.data.read_parquet(os.path.join(side_dir, "postings")).map_batches(
-            add_keys, batch_format="pyarrow"
-        )
-
-    def rewrite_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return POSTINGS_SCHEMA.empty_table()
-        shard = group["shard"][0].as_py()
-        doc_off = group["doc_off"][0].as_py()  # constant: shards never mix sides
-        term_col = (
-            group["term"].combine_chunks()
-            if isinstance(group["term"], pa.ChunkedArray)
-            else group["term"]
-        )
-        denc = term_col.dictionary_encode()
-        codes = np.asarray(denc.indices, dtype=np.int64)
-        order = np.lexsort((np.asarray(group["first_doc"]), codes))
-        tbl = group.select(["n", "docs_enc", "tfs_enc", "dls_enc"]).take(pa.array(order))
-        codes = codes[order]
-
-        row_lens = np.asarray(tbl["n"], dtype=np.int64)
-        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True) + doc_off
-        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
-        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
-
-        entry_codes = np.repeat(codes, row_lens)
-        change = np.empty(len(entry_codes), dtype=bool)
-        change[0] = True
-        np.not_equal(entry_codes[1:], entry_codes[:-1], out=change[1:])
-        term_flat_starts = np.flatnonzero(change)
-        term_flat_ends = np.append(term_flat_starts[1:], len(entry_codes))
-        terms_u = denc.dictionary.take(pa.array(entry_codes[term_flat_starts]))
-
-        return encode_blocks(
-            terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, new_avgdl,
-        )
-
-    _t = time.perf_counter()
     out_postings = os.path.join(out_dir, "postings")
-    (
-        keyed(a_dir, 0, 0)
-        .union(keyed(b_dir, n_a, shard_off_b))
-        .groupby(["bucket", "shard"])
-        .map_groups(rewrite_group, batch_format="pyarrow")
-        .write_parquet(out_postings)
-    )
-    if not os.path.isdir(out_postings):
-        os.makedirs(out_postings, exist_ok=True)
-        pq.write_table(
-            POSTINGS_SCHEMA.empty_table(), os.path.join(out_postings, "part-empty.parquet")
-        )
+    shard_off_b = max(files["a"], default=-1) + 1
+
+    def rewrite(doc_off: int):
+        def fn(tbl: pa.Table, shard: int) -> pa.Table:
+            return reblock(tbl, shard, bk, k1, b, new_avgdl, lambda ids: (ids + doc_off, None))
+
+        return fn
+
+    _t = time.perf_counter()
+    map_postings_files(files["a"], out_postings, rewrite(0))
+    map_postings_files(files["b"], out_postings, rewrite(n_a), shard_off=shard_off_b)
     phases["postings"] = time.perf_counter() - _t
 
     # docs: A as-is, B rebased
@@ -669,18 +526,7 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
             continue
         merged_tombs[n] = b
     if merged_tombs:
-        names_s = sorted(merged_tombs)
-        pq.write_table(
-            pa.table(
-                {
-                    "name": pa.array(names_s, pa.string()),
-                    "before_id": pa.array(
-                        [merged_tombs[n] for n in names_s], pa.int64()
-                    ),
-                }
-            ),
-            os.path.join(out_dir, TOMBSTONES_FILE),
-        )
+        _write_tombstones(out_dir, merged_tombs)
 
     new_stats = dict(
         stats["a"],
@@ -690,12 +536,10 @@ def merge_indexes(a_dir: str, b_dir: str, out_dir: str, overwrite: bool = False)
         n_terms=int(n_terms_out),
         n_postings=int(n_postings_out),
         n_fragments=stats["a"].get("n_fragments", 0) + stats["b"].get("n_fragments", 0),
-        term_buckets=term_buckets,
         merged_from=[os.path.abspath(a_dir), os.path.abspath(b_dir)],
         phase_sec={k: round(v, 3) for k, v in phases.items()},
     )
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(new_stats, fh)
+    _commit_stats(out_dir, new_stats)
     return new_stats
 
 
@@ -705,14 +549,14 @@ def fsck_index(index_dir: str) -> dict:
     invariants the query engine relies on, then cross-check the
     dictionary and stats tables against what the blocks actually hold.
 
-    Per (term, shard) checks (one map_batches over postings, groupby-free
-    — blocks of a term-shard are verified within their read batch by
-    sorting locally, cross-batch order is implied by disjoint doc
-    ranges):
+    Per-block checks (one task per postings file, groupby-free):
 
     - block docIDs strictly increasing, within [first_doc, last_doc]
     - n == decoded length; tf >= 1; dl >= 1; docIDs within [0, n_docs)
     - ub_tfn / lb_tfn / ub_logtf are valid bounds for the block
+    - layout (engine/merge.py): every file is named sSSSSS-bBBBBB.parquet
+      (``bad_file_names`` counts the others) and every row's ``shard``
+      equals its file name's shard
 
     Global cross-checks: per-term df equals terms.parquet; sum of df
     equals stats n_postings; docs table doc_ids dense in [0, n_docs);
@@ -729,6 +573,10 @@ def fsck_index(index_dir: str) -> dict:
     import pyarrow.dataset as pads
     import ray
     import ray.data
+
+    import pandas as pd
+
+    from .merge import listed_names, parse_postings_name
 
     stats = load_meta(os.path.join(index_dir, "stats.json"))
     n_docs = stats["n_docs"]
@@ -750,15 +598,26 @@ def fsck_index(index_dir: str) -> dict:
     dl_of[ids_arr[in_range]] = np.asarray(docs_tbl["doc_len"], dtype=np.int64)[in_range]
     dl_ref = ray.put(dl_of)
 
-    def check(batch: pa.Table) -> pa.Table:
+    post_dir = os.path.join(index_dir, "postings")
+    jobs = [
+        {"path": os.path.join(post_dir, n), "shard": (parse_postings_name(n) or (-1,))[0]}
+        for n in listed_names(post_dir)
+    ]
+    bad_file_names = sum(1 for j in jobs if j["shard"] < 0)
+
+    def check_file(job_batch: pa.Table) -> pa.Table:
+        job = job_batch.to_pylist()[0]
+        batch = pq.read_table(job["path"])
         dl_map = ray.get(dl_ref)
         viol = 0
+        if job["shard"] >= 0:
+            viol += int((np.asarray(batch["shard"]) != job["shard"]).sum())
         row_lens = np.asarray(batch["n"], dtype=np.int64)
         doc_ids = decode_concat_rows(batch["docs_enc"], row_lens, delta=True)
         tfs = decode_concat_rows(batch["tfs_enc"], row_lens, delta=False)
         dls = decode_concat_rows(batch["dls_enc"], row_lens, delta=False)
-        starts = np.concatenate(([0], np.cumsum(row_lens)[:-1]))
         ends = np.cumsum(row_lens)
+        starts = ends - row_lens  # both empty for an empty file
         firsts = np.asarray(batch["first_doc"], dtype=np.int64)
         lasts = np.asarray(batch["last_doc"], dtype=np.int64)
         # strictly increasing within each block: diffs > 0 except at starts
@@ -790,7 +649,7 @@ def fsck_index(index_dir: str) -> dict:
                 "violations": pa.array(np.full(batch.num_rows, 0, dtype=np.int64)),
             }
         )
-        if viol and batch.num_rows:
+        if viol:
             # attribute batch violations to the first row (summed globally)
             v = np.zeros(batch.num_rows, dtype=np.int64)
             v[0] = viol
@@ -798,12 +657,14 @@ def fsck_index(index_dir: str) -> dict:
         return out
 
     agg = (
-        ray.data.read_parquet(os.path.join(index_dir, "postings"))
-        .map_batches(check, batch_format="pyarrow")
+        ray.data.from_items(jobs)
+        .map_batches(check_file, batch_size=1, batch_format="pyarrow")
         .groupby("term")
         .sum(["df_part", "violations"])
         .to_pandas()  # dictionary-sized
     )
+    if not len(agg.columns):  # no postings at all: a zero-column frame
+        agg = pd.DataFrame(columns=["term", "df_part", "violations"])
     df_col = "sum(df_part)" if "sum(df_part)" in agg.columns else "df_part"
     v_col = "sum(violations)" if "sum(violations)" in agg.columns else "violations"
     violations = int(agg[v_col].sum())
@@ -826,9 +687,11 @@ def fsck_index(index_dir: str) -> dict:
         "n_postings_stats": stats["n_postings"],
         "df_mismatches": int(df_mismatches),
         "bad_doc_rows": bad_doc_rows,
+        "bad_file_names": bad_file_names,
         "violations": violations
         + df_mismatches
         + bad_doc_rows
+        + bad_file_names
         + (0 if docs_dense else 1)
         + (0 if n_postings == stats["n_postings"] else 1)
         + (0 if len(got_df) == terms_tbl.num_rows else 1),
@@ -849,27 +712,23 @@ def prune_terms(
     build-time stopword list but behave like stopwords at corpus scale.
 
     ONLY the dropped terms change: remaining postings pass through as-is
-    (a filtered parquet rewrite — no decode/re-encode; docIDs, doc
-    lengths, avgdl, every kept term's df and block bounds are untouched),
-    so scoring with any query over surviving terms is bit-identical to
-    the unpruned index.  Queries containing a pruned term silently skip
+    (a row filter over each postings file, rewritten under its own name —
+    no decode/re-encode; docIDs, doc lengths, avgdl, every kept term's df
+    and block bounds are untouched), so scoring with any query over
+    surviving terms is bit-identical to the unpruned index.  Queries containing a pruned term silently skip
     it — exactly the reference's absent-term semantics (J1).
 
     Returns the new stats dict with ``n_pruned_terms``."""
-    import json
     import shutil
     import time
 
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    import ray
-    import ray.data
 
-    from .merge import POSTINGS_SCHEMA
-
-    with open(os.path.join(index_dir, "stats.json")) as fh:
-        stats = json.load(fh)
+    from .merge import map_postings_files, postings_files
     from .terms_io import read_terms_table
+
+    stats = load_meta(os.path.join(index_dir, "stats.json"))
+    files = postings_files(os.path.join(index_dir, "postings"))
 
     terms_tbl = read_terms_table(index_dir)
     drop = set(terms or [])
@@ -883,22 +742,12 @@ def prune_terms(
     phases: dict[str, float] = {}
     drop_arr = pa.array(sorted(drop), pa.string())
 
-    def flt(batch: pa.Table) -> pa.Table:
-        keep = pc.invert(pc.is_in(batch["term"], value_set=drop_arr))
-        return batch.filter(keep)
+    def flt(tbl: pa.Table, _shard: int) -> pa.Table:
+        return tbl.filter(pc.invert(pc.is_in(tbl["term"], value_set=drop_arr)))
 
     _t = time.perf_counter()
     out_postings = os.path.join(out_dir, "postings")
-    (
-        ray.data.read_parquet(os.path.join(index_dir, "postings"))
-        .map_batches(flt, batch_format="pyarrow")
-        .write_parquet(out_postings)
-    )
-    if not os.path.isdir(out_postings):
-        os.makedirs(out_postings, exist_ok=True)
-        pq.write_table(
-            POSTINGS_SCHEMA.empty_table(), os.path.join(out_postings, "part-empty.parquet")
-        )
+    map_postings_files(files, out_postings, flt)
     phases["postings"] = time.perf_counter() - _t
 
     # docs unchanged (doc stats keep their build-time semantics)
@@ -906,12 +755,15 @@ def prune_terms(
     shutil.copytree(os.path.join(index_dir, "docs"), os.path.join(out_dir, "docs"))
     tomb = os.path.join(index_dir, TOMBSTONES_FILE)
     if os.path.exists(tomb):
-        shutil.copy(tomb, os.path.join(out_dir, TOMBSTONES_FILE))
+        shutil.copy(tomb, _path(out_dir) + ".tmp")
+        os.replace(_path(out_dir) + ".tmp", _path(out_dir))
     phases["docs"] = time.perf_counter() - _t
 
     keep_mask = pc.invert(pc.is_in(terms_tbl["term"], value_set=drop_arr))
     new_terms = terms_tbl.filter(keep_mask)
-    pq.write_table(new_terms, os.path.join(out_dir, "terms.parquet"))
+    terms_path = os.path.join(out_dir, "terms.parquet")
+    pq.write_table(new_terms, terms_path + ".tmp")
+    os.replace(terms_path + ".tmp", terms_path)
 
     new_stats = dict(
         stats,
@@ -921,8 +773,7 @@ def prune_terms(
         pruned_from=os.path.abspath(index_dir),
         phase_sec={k: round(v, 3) for k, v in phases.items()},
     )
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(new_stats, fh)
+    _commit_stats(out_dir, new_stats)
     return new_stats
 
 

@@ -1,4 +1,5 @@
-"""Stage 2 of the index build: the term-keyed shuffle.
+"""Stage 2 of the index build: the term-keyed shuffle, and the postings
+file layout every later verb reads and rewrites.
 
 The reference folds per-worker indexes serially on one thread with docID
 rebasing (/root/reference/src/Indexing/Indexer.cs:100-112,
@@ -18,6 +19,15 @@ Keys and skew (SURVEY.md §4, §7.4.3):
   independently.  Blocks are globally docID-ordered because fragments
   (hence shards) own disjoint ascending docID ranges.
 
+Layout: each merge group is written as ONE file,
+``postings/sSSSSS-bBBBBB.parquet`` (shard, bucket), its rows sorted by
+(term, block_no) and committed through a hidden tmp + ``os.replace`` —
+so two builds of one corpus give byte-identical trees, and a file holds
+every block of its terms in its shard.  ``postings_files`` maps the
+directory to {shard: [paths]} from the names alone; compact, merge and
+prune rewrite file by file (``map_postings_files``) with no second
+shuffle, through the same re-block kernel as the build (``reblock``).
+
 Each output block row carries delta+VByte-compressed postings (one
 vectorized encode per group, sliced zero-copy per block) plus
 idf-independent score-bound metadata:
@@ -32,11 +42,14 @@ tiny ``terms`` table and never force block rewrites.
 
 from __future__ import annotations
 
+import os
+import re
 import zlib
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..config import BuildConfig
 from .codec import decode_concat_rows, encode_rows
@@ -98,8 +111,7 @@ def encode_blocks(
 ) -> pa.Table:
     """Vectorized block layout + score-bound metadata + per-block
     delta+VByte encode for per-term flat posting ranges (globally
-    docID-sorted within each term).  Shared by the build merge and index
-    compaction."""
+    docID-sorted within each term).  Called by ``reblock`` only."""
     bk = block_entries
     term_lens = term_flat_ends - term_flat_starts
     n_blocks_t = (term_lens + bk - 1) // bk
@@ -137,6 +149,60 @@ def encode_blocks(
             "ub_logtf": pa.array(ub_logtf.astype(np.float32)),
         },
         schema=POSTINGS_SCHEMA,
+    )
+
+
+
+
+def _flat(col):
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def reblock(
+    rows: pa.Table,
+    shard: int,
+    block_entries: int,
+    k1: float,
+    b: float,
+    avgdl: float,
+    remap=None,
+) -> pa.Table:
+    """The one re-block kernel (build merge, compact, merge_indexes): one
+    shard's compressed posting rows (term, first_doc, n and the three
+    ``*_enc`` cells; other columns are ignored) sorted by
+    (term, first_doc) -> decoded in three vectorized passes -> docIDs
+    through ``remap(ids) -> (new_ids, keep)`` (``keep`` None keeps every
+    entry) -> per-term runs -> ``encode_blocks`` with ``avgdl``.  Rows of
+    one term cover disjoint ascending doc ranges, so each run is globally
+    docID-sorted (streaming analogue of PostingList.Append,
+    PostingList.cs:84-120)."""
+    if rows.num_rows == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    denc = _flat(rows["term"]).dictionary_encode()
+    codes = np.asarray(denc.indices, dtype=np.int64)
+    order = np.lexsort((np.asarray(rows["first_doc"]), codes))
+    tbl = rows.select(["n", "docs_enc", "tfs_enc", "dls_enc"]).take(pa.array(order))
+    row_lens = np.asarray(tbl["n"], dtype=np.int64)
+    doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True)
+    tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
+    dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
+    entry_codes = np.repeat(codes[order], row_lens)
+    if remap is not None:
+        doc_ids, keep = remap(doc_ids)
+        if keep is not None:
+            entry_codes, doc_ids, tfs, dls = entry_codes[keep], doc_ids[keep], tfs[keep], dls[keep]
+    if len(doc_ids) == 0:
+        return POSTINGS_SCHEMA.empty_table()
+
+    change = np.empty(len(entry_codes), dtype=bool)
+    change[0] = True
+    np.not_equal(entry_codes[1:], entry_codes[:-1], out=change[1:])
+    term_flat_starts = np.flatnonzero(change)
+    term_flat_ends = np.append(term_flat_starts[1:], len(entry_codes))
+    terms_u = denc.dictionary.take(pa.array(entry_codes[term_flat_starts]))
+    return encode_blocks(
+        terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
+        shard, block_entries, k1, b, avgdl,
     )
 
 
@@ -184,16 +250,14 @@ def make_merge_fn(config: BuildConfig, avgdl: float):
             return POSTINGS_SCHEMA.empty_table()
         shard = group["shard"][0].as_py()
 
-        term_col = group["term"].combine_chunks() if isinstance(group["term"], pa.ChunkedArray) else group["term"]
-        denc = term_col.dictionary_encode()
-        codes = np.asarray(denc.indices, dtype=np.int64)
-
         # split: terms with ONE input row that fits one block pass through
         # compressed; the rest take the decode->merge->encode path.  (Old
         # segment files without the stats columns — resumed round-1 builds —
         # fall back to the full path for every row.)
         stats_cols = ("max_doc", "max_tf", "min_tf", "min_dl", "max_dl")
         if all(c in group.column_names for c in stats_cols):
+            denc = _flat(group["term"]).dictionary_encode()
+            codes = np.asarray(denc.indices, dtype=np.int64)
             df_local_all = np.asarray(group["df_local"], dtype=np.int64)
             counts = np.bincount(codes, minlength=len(denc.dictionary))
             single = (counts[codes] == 1) & (df_local_all <= bk)
@@ -202,54 +266,114 @@ def make_merge_fn(config: BuildConfig, avgdl: float):
             # with new ones; NULL-stat rows must take the full merge path
             if any(group[c].null_count for c in stats_cols):
                 for c in stats_cols:
-                    col = group[c]
-                    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                    single &= ~np.asarray(pc.is_null(col))
+                    single &= ~np.asarray(pc.is_null(_flat(group[c])))
         else:
-            single = np.zeros(len(codes), dtype=bool)
+            single = np.zeros(group.num_rows, dtype=bool)
         pt_table = None
         if single.any():
             pt_table = _passthrough(group.filter(pa.array(single)), shard)
             if single.all():
                 return pt_table
             group = group.filter(pa.array(~single))
-            term_col = group["term"].combine_chunks() if isinstance(group["term"], pa.ChunkedArray) else group["term"]
-            denc = term_col.dictionary_encode()
-            codes = np.asarray(denc.indices, dtype=np.int64)
 
-        min_doc = np.asarray(group["min_doc"])
-
-        # order segment rows by (term, min_doc); disjoint fragment doc
-        # ranges make the per-term concatenation globally docID-sorted
-        # (streaming analogue of PostingList.Append, PostingList.cs:84-120).
-        order = np.lexsort((min_doc, codes))
-        tbl = group.select(["df_local", "docs_enc", "tfs_enc", "dls_enc"]).take(pa.array(order))
-        codes = codes[order]
-
-        # decode the whole group's compressed rows in three vectorized passes
-        row_lens = np.asarray(tbl["df_local"], dtype=np.int64)
-        doc_ids = decode_concat_rows(tbl["docs_enc"], row_lens, delta=True)
-        tfs = decode_concat_rows(tbl["tfs_enc"], row_lens, delta=False)
-        dls = decode_concat_rows(tbl["dls_enc"], row_lens, delta=False)
-
-        # per-term flat ranges
-        row_term_change = np.empty(len(codes), dtype=bool)
-        row_term_change[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=row_term_change[1:])
-        flat_row_starts = np.concatenate(([0], np.cumsum(row_lens)[:-1]))
-        term_flat_starts = flat_row_starts[row_term_change]
-        term_flat_ends = np.append(term_flat_starts[1:], len(doc_ids))
-        term_lens = term_flat_ends - term_flat_starts
-        term_codes_u = codes[row_term_change]
-        terms_u = denc.dictionary.take(pa.array(term_codes_u))
-
-        # vectorized block layout + encode (shared with compaction)
-        merged_tbl = encode_blocks(
-            terms_u, term_flat_starts, term_flat_ends, doc_ids, tfs, dls,
-            shard, bk, k1, b, avgdl,
-        )
+        segment_names = {"min_doc": "first_doc", "df_local": "n"}
+        rows = group.rename_columns([segment_names.get(c, c) for c in group.column_names])
+        merged_tbl = reblock(rows, shard, bk, k1, b, avgdl)
         if pt_table is not None:
             return pa.concat_tables([pt_table, merged_tbl])
         return merged_tbl
 
     return merge_group
+
+
+# ---- the postings file layout: one file per (shard, bucket) ----
+
+_POSTINGS_NAME = re.compile(r"s(\d{5,})-b(\d{5,})\.parquet")
+
+
+def postings_file_name(shard: int, bucket: int) -> str:
+    return f"s{shard:05d}-b{bucket:05d}.parquet"
+
+
+def parse_postings_name(name: str) -> tuple[int, int] | None:
+    """(shard, bucket) of a postings file name; None if it does not parse."""
+    m = _POSTINGS_NAME.fullmatch(name)
+    return (int(m[1]), int(m[2])) if m else None
+
+
+def listed_names(postings_dir: str) -> list[str]:
+    """The file names a Parquet reader sees in ``postings_dir``, sorted —
+    hidden names (``.`` / ``_``, e.g. an uncommitted tmp) are skipped."""
+    return sorted(n for n in os.listdir(postings_dir) if not n.startswith((".", "_")))
+
+
+def postings_files(postings_dir: str) -> dict[int, list[str]]:
+    """{shard: [file paths]} of a postings directory, ascending, from the
+    file names alone — no file is opened.  Any other name (an index
+    written before the shard-addressed layout) raises ``ValueError``."""
+    files: dict[int, list[str]] = {}
+    for name in listed_names(postings_dir):
+        key = parse_postings_name(name)
+        if key is None:
+            raise ValueError(
+                f"postings file {name!r} in {postings_dir} is not named "
+                "sSSSSS-bBBBBB.parquet (an index written by an older "
+                "version) — rebuild the index"
+            )
+        files.setdefault(key[0], []).append(os.path.join(postings_dir, name))
+    return dict(sorted(files.items()))
+
+
+def shard_first_docs(files: dict[int, list[str]]) -> dict[int, int]:
+    """shard -> its lowest docID, from the Parquet footer statistics of
+    the shard's own files (shards own disjoint ascending doc ranges, so
+    these starts delimit them); shards with no rows are left out."""
+    lo: dict[int, int] = {}
+    for shard, paths in files.items():
+        for path in paths:
+            md = pq.read_metadata(path)
+            col = md.schema.names.index("first_doc")
+            for rg in range(md.num_row_groups):
+                st = md.row_group(rg).column(col).statistics
+                if md.row_group(rg).num_rows and st is not None and st.has_min_max:
+                    lo[shard] = min(lo.get(shard, st.min), st.min)
+    return lo
+
+
+def write_postings_file(tbl: pa.Table, path: str) -> int:
+    """Commit one postings file: rows sorted by (term, block_no), written
+    to a hidden tmp beside ``path`` and moved in by ``os.replace``, so a
+    reader never sees a partial file and the bytes depend on the rows
+    alone.  Returns the row count."""
+    tbl = tbl.sort_by([("term", "ascending"), ("block_no", "ascending")]).combine_chunks()
+    folder, name = os.path.split(path)
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".{name}.tmp")
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, path)
+    return tbl.num_rows
+
+
+def map_postings_files(files: dict[int, list[str]], out_dir: str, fn, shard_off: int = 0) -> None:
+    """The maintenance verbs' one rewrite pass, a task per postings file:
+    each task reads one file of ``files``, calls ``fn(table, shard)`` with
+    its shard id shifted by ``shard_off`` and commits the result under
+    the same (shifted) name in ``out_dir``.  A file holds every block of
+    its terms in its shard, so no exchange is needed."""
+    import ray.data
+
+    jobs = []
+    for shard, paths in files.items():
+        for path in paths:
+            bucket = parse_postings_name(os.path.basename(path))[1]
+            dst = os.path.join(out_dir, postings_file_name(shard + shard_off, bucket))
+            jobs.append({"src": path, "dst": dst, "shard": shard + shard_off})
+
+    def one(batch: pa.Table) -> pa.Table:
+        job = batch.to_pylist()[0]
+        n = write_postings_file(fn(pq.read_table(job["src"]), job["shard"]), job["dst"])
+        return pa.table({"rows": pa.array([n], pa.int64())})
+
+    ray.data.from_items(jobs).map_batches(
+        one, batch_size=1, batch_format="pyarrow"
+    ).materialize()

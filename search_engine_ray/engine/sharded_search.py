@@ -4,9 +4,11 @@ A single QueryScorer actor preloading the whole index (engine/search.py)
 mirrors the reference's in-RAM ReadableIndex and is right for indexes that
 fit one node.  At web scale neither the postings nor a dense per-doc score
 array fit anywhere, so scoring shards by DOC RANGE, which the index layout
-already provides: the merge keys postings by ``(term-bucket, shard)`` where
-``shard = frag_id // frags_per_shard`` owns a contiguous docID range and a
-document's postings all live in its own shard.  Consequences:
+already provides: the merge writes one postings file per
+``(shard, term-bucket)`` where ``shard = frag_id // frags_per_shard`` owns a
+contiguous docID range and a document's postings all live in its own
+shard; the file names say which shard, so a shard opens only its own
+files.  Consequences:
 
 - each shard scorer computes COMPLETE scores for its documents (no
   cross-shard combination of partial scores is ever needed);
@@ -35,6 +37,7 @@ import pyarrow.dataset as pads
 from ..config import BM25Params
 from .codec import load_meta
 from .index_reader import Block, TermPostings, _blocks_from_table
+from .merge import postings_files
 
 
 class _ShardIndexView:
@@ -65,11 +68,9 @@ class _ShardIndexView:
             )
         self._df = dict(zip(terms_tbl["term"].to_pylist(), terms_tbl["df"].to_pylist()))
 
-        ds = pads.dataset(os.path.join(index_dir, "postings"))
-        flt = pads.field("shard") == shard
-        if terms is not None:
-            flt = flt & pads.field("term").isin(terms)
-        tbl = ds.to_table(filter=flt)
+        # only this shard's own files (engine/merge.py layout)
+        ds = pads.dataset(postings_files(os.path.join(index_dir, "postings"))[shard])
+        tbl = ds.to_table(filter=None if terms is None else pads.field("term").isin(terms))
         self._blocks = _blocks_from_table(tbl)
         if tbl.num_rows:
             self.doc_lo = int(pa.compute.min(tbl["first_doc"]).as_py())
@@ -294,29 +295,6 @@ def merge_topk(topic: np.ndarray, doc_id: np.ndarray, score: np.ndarray, k: int,
     return topic[keep], doc_id[keep], score[keep], rank[keep]
 
 
-def postings_shard_ids(postings_dir: str) -> list[int]:
-    """The shard ids present in a postings directory, ascending, from the
-    Parquet footers' row-group MIN/MAX statistics: the merge writes one
-    (bucket, shard) group per task, so a row group holds one shard and no
-    posting row is read.  A file with a row group lacking statistics, or
-    spanning shards, falls back to a scan of its ``shard`` column."""
-    ds = pads.dataset(postings_dir)
-    col = ds.schema.get_field_index("shard")
-    ids: set[int] = set()
-    for frag in ds.get_fragments():
-        md = frag.metadata
-        for rg in range(md.num_row_groups):
-            if md.row_group(rg).num_rows == 0:
-                continue
-            st = md.row_group(rg).column(col).statistics
-            if st is not None and st.has_min_max and st.min == st.max:
-                ids.add(int(st.min))
-            else:
-                ids.update(frag.to_table(columns=["shard"])["shard"].to_pylist())
-                break
-    return sorted(ids)
-
-
 def search_topics_sharded(
     index_dir: str,
     topics: list[tuple[int, list[tuple[str, int]]]],
@@ -330,7 +308,7 @@ def search_topics_sharded(
     prunes INSIDE each shard (bm25/tfidf): the union of
     shard-local top-k supersets the global top-k, so the merge result stays
     bit-identical while each shard decodes only surviving blocks."""
-    shards = [{"shard": s} for s in postings_shard_ids(os.path.join(index_dir, "postings"))]
+    shards = [{"shard": s} for s in postings_files(os.path.join(index_dir, "postings"))]
     adpt_params = None
     if scorer == "bm25adpt":
         # PHASE 1: per-shard cd histograms -> summed on the driver ->

@@ -32,6 +32,9 @@ from .engine.scoring import bm25_term
 from .text.ws import WS_RE
 
 _CACHE_ROOT = os.environ.get("SE_RAY_CACHE", "/tmp/se_ray_cache")
+# part of every cached index's key: bump on a postings layout change
+# (engine/merge.py), or indexes cached by an older version are served
+INDEX_LAYOUT = "postings-v2"
 _READERS: dict[str, IndexReader] = {}
 
 
@@ -95,7 +98,8 @@ def documents_index_dir(sf_dir: str, options: IndexOptions, **build_kw) -> str:
     """Build (once) an index over {sf_dir}/documents.parquet; returns its dir."""
     src = os.path.join(sf_dir, "documents.parquet")
     key = hashlib.md5(
-        f"{os.path.abspath(src)}|{os.path.getmtime(src)}|{options.to_dict()}|{sorted(build_kw.items())}".encode()
+        f"{INDEX_LAYOUT}|{os.path.abspath(src)}|{os.path.getmtime(src)}|{options.to_dict()}"
+        f"|{sorted(build_kw.items())}".encode()
     ).hexdigest()[:16]
     index_dir = os.path.join(_CACHE_ROOT, f"docidx-{key}")
     config = BuildConfig(options=options, **build_kw)
@@ -193,7 +197,7 @@ def documents_fielded_readers(
     out: list[tuple[IndexReader, float, float]] = []
     for fname, (w, b) in fields.items():
         key = hashlib.md5(
-            f"fidx|{fdir}|{fname}|{options.to_dict()}".encode()
+            f"fidx|{INDEX_LAYOUT}|{fdir}|{fname}|{options.to_dict()}".encode()
         ).hexdigest()[:16]
         index_dir = os.path.join(_CACHE_ROOT, f"fieldidx-{key}")
         config = BuildConfig(options=options)
@@ -1210,7 +1214,7 @@ def documents_maxp_index_dir(
 
     src = os.path.join(sf_dir, "documents.parquet")
     key = hashlib.md5(
-        f"maxp|{os.path.abspath(src)}|{os.path.getmtime(src)}|{options.to_dict()}"
+        f"maxp|{INDEX_LAYOUT}|{os.path.abspath(src)}|{os.path.getmtime(src)}|{options.to_dict()}"
         f"|{chunk_tokens}|{overlap}".encode()
     ).hexdigest()[:16]
     chunks_dir = os.path.join(_CACHE_ROOT, f"docchunks-{key}")

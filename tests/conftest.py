@@ -1,9 +1,12 @@
-import os
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+# the checkout under test (never a fixed path: a copy of the repo must
+# test its own tree)
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
+sys.path.insert(0, REPO_ROOT)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import REPO_ROOT
 from search_engine_ray.cli import main, parse_index_options, parse_query_options
 from search_engine_ray.config import BuildConfig, IndexOptions, QueryOptions
 from search_engine_ray.corpus.pages import write_pages_parquet
@@ -86,24 +87,6 @@ def sharded_index(cli_corpus):
     shards = pq.read_table(f"{index_dir}/postings", columns=["shard"])["shard"]
     assert len(set(shards.to_pylist())) > 1
     return index_dir
-
-
-def test_postings_shard_ids_from_footers(sharded_index, tmp_path):
-    """The shard ids come from row-group statistics and equal a scan of
-    the shard column; a file whose one row group spans every shard falls
-    back to that scan."""
-    import pyarrow.parquet as pq
-
-    from search_engine_ray.engine.sharded_search import postings_shard_ids
-
-    post = f"{sharded_index}/postings"
-    scanned = sorted(set(pq.read_table(post, columns=["shard"])["shard"].to_pylist()))
-    assert postings_shard_ids(post) == scanned
-    mixed = tmp_path / "mixed"
-    mixed.mkdir()
-    tbl = pq.read_table(post)
-    pq.write_table(tbl, mixed / "all.parquet", row_group_size=tbl.num_rows)
-    assert postings_shard_ids(str(mixed)) == scanned
 
 
 def test_cli_sharded_byte_equal_run(sharded_index, tmp_path):
@@ -309,12 +292,12 @@ def test_cli_query_positions_phrase(ray_session, tmp_path):
         ),
         f"{corpus}/docs.parquet",
     )
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO_ROOT)
 
     def run(*argv):
         out = subprocess.run(
             [_sys.executable, "-m", "search_engine_ray", *argv],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         )
         assert out.returncode == 0, out.stderr[-800:]
         return [l for l in out.stdout.splitlines() if l.startswith("{")]
@@ -397,12 +380,12 @@ def test_cli_query_facets_collapse_prf(ray_session, tmp_path):
         }
     )
     pq_.write_table(docs, f"{corpus}/docs.parquet")
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO_ROOT)
 
     def run(*argv):
         out = subprocess.run(
             [_sys.executable, "-m", "search_engine_ray", *argv],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         )
         assert out.returncode == 0, out.stderr[-800:]
         return [_json.loads(l) for l in out.stdout.splitlines() if l.startswith("{")]

@@ -11,7 +11,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+from conftest import REPO_ROOT
+
+sys.path.insert(0, REPO_ROOT)
 
 SF = "/root/testdata/sf0.01"
 TABLES = (
@@ -175,6 +177,6 @@ def test_coverage_doc_gate_names_exist(contract):
     import re
 
     qs = set(contract.queries())
-    cited = set(re.findall(r"q:`([a-z0-9_]+)`", open("/root/repo/COVERAGE.md").read()))
+    cited = set(re.findall(r"q:`([a-z0-9_]+)`", open(os.path.join(REPO_ROOT, "COVERAGE.md")).read()))
     missing = sorted(cited - qs)
     assert not missing, f"COVERAGE.md cites unknown gates: {missing}"

@@ -23,7 +23,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
+from conftest import REPO_ROOT
+
+sys.path.insert(0, REPO_ROOT)
 
 # every class of character that has ever tokenized differently across
 # RE2 vintages / engines, plus structural edge cases

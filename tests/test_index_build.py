@@ -187,8 +187,8 @@ def test_incremental_append(built, ray_session, tmp_path):
 
 
 def test_degenerate_all_stopword_corpus(ray_session, tmp_path):
-    """Every token filtered -> empty postings; build, read and query must
-    all stay well-defined."""
+    """Every token filtered -> empty postings; build, read, query and
+    fsck must all stay well-defined."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -214,6 +214,11 @@ def test_degenerate_all_stopword_corpus(ray_session, tmp_path):
     assert r.doc_lens.tolist() == [0, 0, 0]
     ids, scores = taat_bm25(r, [("the", 1)], BM25Params(), 10)
     assert len(ids) == 0
+    # one empty postings file, named like any other, and a clean fsck
+    from search_engine_ray.engine.maintenance import fsck_index
+
+    assert os.listdir(str(tmp_path / "i" / "postings")) == ["s00000-b00000.parquet"]
+    assert fsck_index(str(tmp_path / "i"))["violations"] == 0
 
 
 def test_build_is_idempotent(built, ray_session):
@@ -495,6 +500,7 @@ def test_non_vbyte_index_and_sidecar_refused(built, ray_session, tmp_path):
         compact_index,
         fsck_index,
         merge_indexes,
+        prune_terms,
         upsert_docs,
     )
     from search_engine_ray.engine.positions import (
@@ -519,6 +525,7 @@ def test_non_vbyte_index_and_sidecar_refused(built, ray_session, tmp_path):
         lambda: fsck_index(bad),
         lambda: compact_index(bad, str(tmp_path / "compacted")),
         lambda: merge_indexes(index_dir, bad, str(tmp_path / "merged")),
+        lambda: prune_terms(bad, str(tmp_path / "pruned"), df_threshold=10),
         lambda: build_impact_index(bad, str(tmp_path / "impact")),
         lambda: build_champion_lists(bad, str(tmp_path / "champions")),
         lambda: qpp_predictors(bad, ["a"]),

@@ -11,6 +11,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import REPO_ROOT
 from search_engine_ray.config import BM25Params, BuildConfig, IndexOptions
 from search_engine_ray.corpus.pages import write_pages_parquet
 from search_engine_ray.engine.build import build_index
@@ -366,15 +367,15 @@ def test_delete_cli(index_dir):
     work = f"{BASE}/idx_cli"
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(index_dir, work)
-    env = dict(os.environ, PYTHONPATH="/root/repo")
+    env = dict(os.environ, PYTHONPATH=REPO_ROOT)
     out = subprocess.run(
         [sys.executable, "-m", "search_engine_ray", "delete", work, "docA", "docB"],
-        capture_output=True, text=True, env=env, cwd="/root/repo",
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert out.returncode == 0 and '"n_tombstoned": 2' in out.stdout
     out = subprocess.run(
         [sys.executable, "-m", "search_engine_ray", "delete", work, "--clear"],
-        capture_output=True, text=True, env=env, cwd="/root/repo",
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
     )
     assert out.returncode == 0 and '"cleared": 2' in out.stdout
 
@@ -611,6 +612,103 @@ def test_fsck_healthy_and_corrupted(index_dir, ray_session):
     pq.write_table(tbl, f)
     rep2 = fsck_index(work)
     assert rep2["violations"] > 0
+
+
+def _tree_hashes(index_dir):
+    """{file name: sha256} of every file under ``index_dir``/postings."""
+    import hashlib
+
+    post = os.path.join(index_dir, "postings")
+    return {
+        n: hashlib.sha256(open(os.path.join(post, n), "rb").read()).hexdigest()
+        for n in sorted(os.listdir(post))
+    }
+
+
+def test_postings_layout_is_deterministic(index_dir, ray_session, tmp_path):
+    """Two builds of one corpus, two compactions of one tombstoned index
+    and two merges give byte-identical postings trees, one
+    sSSSSS-bBBBBB.parquet file per (shard, bucket)."""
+    import pyarrow.dataset as pads
+
+    from search_engine_ray.engine.maintenance import compact_index, merge_indexes
+    from search_engine_ray.engine.merge import parse_postings_name
+
+    cfg = BuildConfig(block_entries=16, frags_per_shard=2)
+    rebuilt = str(tmp_path / "rebuilt")
+    build_index(f"{BASE}/corpus", rebuilt, cfg)
+    built = _tree_hashes(index_dir)
+    assert _tree_hashes(rebuilt) == built
+    assert len(built) > 1 and all(parse_postings_name(n) for n in built)
+
+    tomb = str(tmp_path / "tomb")
+    shutil.copytree(index_dir, tomb)
+    names = pads.dataset(f"{tomb}/docs").to_table(columns=["name"])["name"].to_pylist()
+    delete_docs(tomb, names[::7])
+    runs = []
+    for k in range(2):
+        compact_index(tomb, str(tmp_path / f"compact{k}"))
+        merge_indexes(index_dir, tomb, str(tmp_path / f"merged{k}"))
+        runs.append((_tree_hashes(str(tmp_path / f"compact{k}")),
+                     _tree_hashes(str(tmp_path / f"merged{k}"))))
+    assert runs[0] == runs[1]
+    assert set(runs[0][0]) == set(built)  # compact keeps every file name
+
+
+def test_unshard_addressed_postings_refused(index_dir, ray_session, tmp_path):
+    """A postings file named otherwise (an index from before the
+    shard-addressed layout) is refused with "rebuild" by sharded search,
+    compact, merge and prune, before any output is written."""
+    from search_engine_ray.engine.maintenance import (
+        compact_index,
+        merge_indexes,
+        prune_terms,
+    )
+    from search_engine_ray.engine.sharded_search import search_topics_sharded
+
+    old = str(tmp_path / "old")
+    shutil.copytree(index_dir, old)
+    first = sorted(os.listdir(f"{old}/postings"))[0]
+    os.rename(f"{old}/postings/{first}", f"{old}/postings/part-0.parquet")
+    for call in (
+        lambda: search_topics_sharded(old, [(1, _kws(index_dir))], k=5),
+        lambda: compact_index(old, str(tmp_path / "out")),
+        lambda: merge_indexes(index_dir, old, str(tmp_path / "out")),
+        lambda: merge_indexes(old, index_dir, str(tmp_path / "out")),
+        lambda: prune_terms(old, str(tmp_path / "out"), df_threshold=10),
+    ):
+        with pytest.raises(ValueError, match="part-0.parquet.*rebuild"):
+            call()
+        assert not os.path.exists(tmp_path / "out")
+
+
+def test_fsck_checks_postings_layout(index_dir, ray_session, tmp_path):
+    """fsck counts a postings file whose name does not parse, and a row
+    whose shard differs from its file name's shard."""
+    import pyarrow as pa
+
+    from search_engine_ray.engine.maintenance import fsck_index
+    from search_engine_ray.engine.merge import parse_postings_name, postings_file_name
+
+    renamed = str(tmp_path / "renamed")
+    shutil.copytree(index_dir, renamed)
+    first = sorted(os.listdir(f"{renamed}/postings"))[0]
+    os.rename(f"{renamed}/postings/{first}", f"{renamed}/postings/part-0.parquet")
+    rep = fsck_index(renamed)
+    assert rep["bad_file_names"] == 1 and rep["violations"] == 1
+
+    moved = str(tmp_path / "moved")
+    shutil.copytree(index_dir, moved)
+    post = f"{moved}/postings"
+    src = sorted(os.listdir(post))[0]
+    shard, bucket = parse_postings_name(src)
+    dst = f"{post}/{postings_file_name(shard + 1, bucket)}"  # made if absent
+    a = pq.read_table(f"{post}/{src}")
+    held = [pq.read_table(dst)] if os.path.exists(dst) else []
+    pq.write_table(a.slice(1), f"{post}/{src}")
+    pq.write_table(pa.concat_tables(held + [a.slice(0, 1)]), dst)
+    rep = fsck_index(moved)
+    assert rep["bad_file_names"] == 0 and rep["violations"] == 1
 
 
 def test_prune_terms(index_dir, ray_session):
